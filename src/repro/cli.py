@@ -52,6 +52,20 @@ def _parse_tiles(value: str | None) -> tuple[int, int] | None:
     return rows, cols
 
 
+def _backbone_name(value: str) -> str:
+    """argparse type for a zoo backbone name: an unknown name is a parser
+    error that lists the valid ones."""
+    from .zoo import backbone_names
+
+    name = value.lower()
+    if name not in backbone_names():
+        raise argparse.ArgumentTypeError(
+            f"unknown backbone {value!r} (choose from "
+            f"{', '.join(backbone_names())})"
+        )
+    return name
+
+
 def _add_infer_options(p: argparse.ArgumentParser, serve: bool) -> None:
     """The option block shared by ``infer`` and ``serve``.
 
@@ -181,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="W,FM fixed-point bits, e.g. 11,9")
 
     p = sub.add_parser("profile", help="profile a backbone")
-    p.add_argument("backbone")
+    p.add_argument("backbone", type=_backbone_name,
+                   help="zoo backbone name, e.g. skynet or skynet-a")
     p.add_argument("--width", type=float, default=1.0)
     p.add_argument("--height", type=int, default=160)
     p.add_argument("--input-width", type=int, default=320)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Tensor
+from ..nn.engine.kernels import clip_ufunc
 from ..nn.layers import PWConv1x1
 from ..nn.module import Module
 from ..utils.rng import default_rng
@@ -55,6 +56,10 @@ class YoloHead(Module):
         return self.proj(features)
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-clip_ufunc(v, -60.0, 60.0)))
+
+
 def decode_grid(
     raw: np.ndarray, anchors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -74,32 +79,47 @@ def decode_grid(
     conf:
         (N, K, GH, GW) objectness scores in (0, 1).
     """
+    p = _grid_view(raw, anchors)
+    gh, gw = p.shape[-2:]
+    cx_off, cy_off = np.meshgrid(np.arange(gw), np.arange(gh))  # (GH, GW)
+    bx = (_sigmoid(p[:, :, 0]) + cx_off) / gw
+    by = (_sigmoid(p[:, :, 1]) + cy_off) / gh
+    bw = anchors[None, :, 0, None, None] * np.exp(np.clip(p[:, :, 2], -8, 8))
+    bh = anchors[None, :, 1, None, None] * np.exp(np.clip(p[:, :, 3], -8, 8))
+    conf = _sigmoid(p[:, :, 4])
+    boxes = np.stack([bx, by, bw, bh], axis=-1)
+    return boxes, conf
+
+
+def _grid_view(raw: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """``raw`` as (N, K, 5, GH, GW), checking the channel count."""
     n, ch, gh, gw = raw.shape
     k = len(anchors)
     if ch != k * 5:
         raise ValueError(f"expected {k * 5} channels, got {ch}")
-    p = raw.reshape(n, k, 5, gh, gw)
-
-    sig = lambda v: 1.0 / (1.0 + np.exp(-np.clip(v, -60.0, 60.0)))
-    cx_off, cy_off = np.meshgrid(np.arange(gw), np.arange(gh))  # (GH, GW)
-    bx = (sig(p[:, :, 0]) + cx_off) / gw
-    by = (sig(p[:, :, 1]) + cy_off) / gh
-    bw = anchors[None, :, 0, None, None] * np.exp(np.clip(p[:, :, 2], -8, 8))
-    bh = anchors[None, :, 1, None, None] * np.exp(np.clip(p[:, :, 3], -8, 8))
-    conf = sig(p[:, :, 4])
-    boxes = np.stack([bx, by, bw, bh], axis=-1)
-    return boxes, conf
+    return raw.reshape(n, k, 5, gh, gw)
 
 
 def best_box(raw: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Pick the single highest-confidence box per image.
 
     DAC-SDC is a single-object task, so inference reduces to an argmax
-    over (anchor, cell).  Returns (N, 4) cxcywh boxes.
+    over (anchor, cell).  Only the confidence channel is decoded for the
+    whole grid; the box is decoded for the winning cell alone, with the
+    same arithmetic as :func:`decode_grid` (so ties, and confidences
+    that saturate to 1.0, pick the same first cell).  Returns (N, 4)
+    cxcywh boxes.
     """
-    boxes, conf = decode_grid(raw, anchors)
-    n = raw.shape[0]
-    flat_conf = conf.reshape(n, -1)
-    flat_boxes = boxes.reshape(n, -1, 4)
-    idx = flat_conf.argmax(axis=1)
-    return flat_boxes[np.arange(n), idx]
+    p = _grid_view(raw, anchors)
+    n, _, _, gh, gw = p.shape
+    idx = _sigmoid(p[:, :, 4]).reshape(n, -1).argmax(axis=1)
+    a, cell = np.divmod(idx, gh * gw)
+    t = p[np.arange(n), a, :4, cell // gw, cell % gw]  # winning logits
+    out = np.empty((n, 4))
+    out[:, :2] = _sigmoid(t[:, :2])
+    out[:, 0] += cell % gw
+    out[:, 1] += cell // gw
+    out[:, :2] /= (gw, gh)
+    np.multiply(anchors[a], np.exp(clip_ufunc(t[:, 2:], -8, 8)),
+                out=out[:, 2:])
+    return out

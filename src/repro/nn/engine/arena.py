@@ -12,6 +12,11 @@ input geometries (e.g. a Siamese tracker's exemplar and search crops)
 keeps one buffer per geometry instead of thrashing a single slot, and
 the quantized backend's int8/int16/float buffers never alias the fp32
 ones.
+
+The arena also owns the *bound plans* built on its buffers (see
+:class:`repro.nn.engine.compiler.BoundPlan`): a plan holds direct
+references to pooled arrays, so it lives exactly as long as they stay
+pooled.  Evicting any buffer, or clearing the arena, drops every plan.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ class BufferArena:
     evicted once the pool exceeds the cap (``None``, the default, keeps
     the historical unbounded behaviour).  A steady-state workload that
     fits in the cap is unaffected — every request refreshes its buffer's
-    recency, so only cold geometries age out.
+    recency, so only cold geometries age out.  An eviction also drops
+    every bound plan (:meth:`plan`), so the next forward rebinds against
+    the buffers the arena actually holds.
     """
 
     def __init__(self, max_buffers: int | None = None) -> None:
@@ -49,6 +56,7 @@ class BufferArena:
         self.max_buffers = max_buffers
         self._buffers: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._spares: dict[tuple, list[np.ndarray]] = {}
+        self._plans: dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -86,12 +94,36 @@ class BufferArena:
                 while len(self._buffers) > self.max_buffers:
                     self._buffers.popitem(last=False)
                     self.evictions += 1
+                    self._plans.clear()
             if obs.enabled():
                 obs.set_gauge("engine/arena/pooled_bytes", self.nbytes())
         else:
             self.hits += 1
             self._buffers.move_to_end(key)
         return buf
+
+    def plan(self, key: tuple):
+        """The bound plan stored under ``key``, or ``None``."""
+        return self._plans.get(key)
+
+    def reuse(self, keys) -> None:
+        """Record a bound plan's replay, which reuses the buffers under
+        ``keys`` without asking for them: each counts as a hit and, in a
+        capped arena, has its LRU recency refreshed as a ``get`` would."""
+        self.hits += len(keys)
+        if self.max_buffers is not None:
+            buffers = self._buffers
+            for key in keys:
+                if key in buffers:
+                    buffers.move_to_end(key)
+
+    def keep_plan(self, key: tuple, plan, evictions: int) -> None:
+        """Store ``plan`` under ``key`` unless a buffer was evicted since
+        the arena's eviction count read ``evictions`` (i.e. while the
+        plan was being bound): such a plan references arrays the arena
+        no longer pools, so it is used once and never replayed."""
+        if self.evictions == evictions:
+            self._plans[key] = plan
 
     def prewarm(self, shapes, dtype=np.float32) -> int:
         """Pre-allocate (and page-fault) buffers for the given shapes.
@@ -131,8 +163,10 @@ class BufferArena:
         return len(self._buffers)
 
     def clear(self) -> None:
-        """Drop every pooled buffer (and reset the hit/miss counters)."""
+        """Drop every pooled buffer and bound plan (and reset the
+        hit/miss counters)."""
         self._buffers.clear()
+        self._plans.clear()
         self._spares.clear()
         self.hits = 0
         self.misses = 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from ..module import Module, Sequential
 from .arena import BufferArena
 from . import kernels as K
 
-__all__ = ["CompileError", "CompiledNet", "compile_net"]
+__all__ = ["BoundPlan", "CompileError", "CompiledNet", "compile_net"]
 
 
 class CompileError(TypeError):
@@ -402,13 +403,183 @@ def _lower(nodes: list[_Node]) -> list[tuple[K.Kernel, tuple[int, ...], int]]:
 # --------------------------------------------------------------------- #
 # the compiled engine
 # --------------------------------------------------------------------- #
+class _KeyRecorder:
+    """Arena front that notes the buffer keys a bind requests."""
+
+    def __init__(self, arena: BufferArena) -> None:
+        self.arena = arena
+        self.keys: list[tuple] = []
+
+    def get(self, owner, tag, shape, dtype=np.float32, zero=False):
+        self.keys.append((owner, tag, shape, np.dtype(dtype)))
+        return self.arena.get(owner, tag, shape, dtype, zero)
+
+
+def _view_spec(view: np.ndarray, base: np.ndarray) -> tuple:
+    """``(shape, dtype, offset, strides)`` locating ``view`` in ``base``."""
+    offset = (view.__array_interface__["data"][0]
+              - base.__array_interface__["data"][0])
+    return view.shape, view.dtype, offset, view.strides
+
+
+class BoundPlan:
+    """A compiled plan resolved once against one input shape and arena.
+
+    Binding calls every step's :meth:`~repro.nn.engine.kernels.Kernel.bind`
+    in plan order, so all shape-dependent work — arena lookups, window
+    and transpose views, path choices, strip geometry — happens here,
+    once.  What remains per forward is a flat sequence of pre-resolved
+    numpy calls.
+
+    The caller's input array differs from call to call and is never
+    copied: :meth:`load` rebinds the calls that read it.  For a
+    C-contiguous input (the normal case) that re-points each such call's
+    input views at the new array — same offsets, shapes and strides —
+    without touching the kernels.  Any other layout rebinds the steps
+    that read the input (their arena buffers are pool hits).  Every
+    other step replays its calls unchanged.  A plan is only valid while
+    its arena still pools every buffer it references:
+    :class:`BufferArena` drops its plans on eviction, and :meth:`load`
+    reports an eviction it caused itself.
+    """
+
+    def __init__(self, steps, n_regs: int, x: np.ndarray,
+                 arena: BufferArena) -> None:
+        self.steps = steps
+        recorder = _KeyRecorder(arena)
+        regs: list[np.ndarray | None] = [None] * n_regs
+        regs[0] = x
+        live = {0}  # registers aliasing the per-call input
+        self.step_ops: list[list] = []
+        self.rebound: list[int] = []  # steps reading the input
+        segments: list = []
+        input_keys: list[tuple] = []  # buffers of the input-reading steps
+        fixed_keys: list[tuple] = []  # buffers of every other step
+        for i, (kern, ins, out) in enumerate(steps):
+            buf, ops = kern.bind([regs[r] for r in ins], recorder)
+            regs[out] = buf
+            self.step_ops.append(ops)
+            reads_input = not live.isdisjoint(ins)
+            (input_keys if reads_input else fixed_keys).extend(recorder.keys)
+            recorder.keys = []
+            if reads_input:
+                self.rebound.append(i)
+                segments.append(i)
+                if np.may_share_memory(buf, x):
+                    live.add(out)
+            elif segments and isinstance(segments[-1], list):
+                segments[-1].extend(ops)
+            else:
+                segments.append(list(ops))
+        #: Fixed runs of calls (tuples) and input-reading step indices.
+        self.segments = [s if isinstance(s, int) else tuple(s)
+                         for s in segments]
+        self.input_keys = input_keys
+        self.fixed_keys = fixed_keys
+        self.live = tuple(live)
+        self.regs = regs
+        self._repoint = self._input_calls(x)
+
+    def _input_calls(self, x: np.ndarray):
+        """Recipe for re-pointing the plan at a new input laid out like
+        ``x``: per input-reading step, its calls with the input views
+        cut out (and where to put them back), plus the view of every
+        live register.  ``None`` when ``x`` is not one contiguous buffer
+        or a call reads the input some other way than as a positional
+        array argument."""
+        if not x.flags.c_contiguous:
+            return None
+
+        def reads(v) -> bool:
+            if isinstance(v, (list, tuple)):
+                return any(reads(e) for e in v)
+            return isinstance(v, np.ndarray) and np.may_share_memory(v, x)
+
+        steps = []
+        for i in self.rebound:
+            template = list(self.step_ops[i])
+            calls = []
+            for j, op in enumerate(template):
+                if not isinstance(op, partial):
+                    return None
+                slots = [(pos, _view_spec(a, x))
+                         for pos, a in enumerate(op.args)
+                         if isinstance(a, np.ndarray)
+                         and np.may_share_memory(a, x)]
+                if not slots:
+                    continue
+                args = list(op.args)
+                for pos, _ in slots:
+                    args[pos] = None
+                if (any(reads(a) for a in args)
+                        or any(reads(v) for v in op.keywords.values())):
+                    return None
+                calls.append((j, op.func, args, op.keywords, slots))
+                template[j] = None
+            steps.append((i, template, calls))
+        views = [(r, _view_spec(self.regs[r], x)) for r in self.live if r]
+        return steps, views
+
+    def load(self, x: np.ndarray, arena: BufferArena) -> bool:
+        """Rebind the input-reading calls to ``x`` (the plan's own
+        ``arena`` is passed in, not held: it holds the plan).  Returns
+        ``False`` when that evicted a pooled buffer (a new input layout
+        needed new scratch in a capped arena): the plan is stale, bind a
+        new one."""
+        evictions = arena.evictions
+        regs = self.regs
+        regs[0] = x
+        if self._repoint is not None and x.flags.c_contiguous:
+            steps, views = self._repoint
+            for i, template, calls in steps:
+                ops = template.copy()
+                for j, func, args, keywords, slots in calls:
+                    args = args.copy()
+                    for pos, (shape, dtype, offset, strides) in slots:
+                        args[pos] = np.ndarray(shape, dtype, x, offset,
+                                               strides)
+                    ops[j] = partial(func, *args, **keywords)
+                self.step_ops[i] = ops
+            for r, (shape, dtype, offset, strides) in views:
+                regs[r] = np.ndarray(shape, dtype, x, offset, strides)
+            arena.reuse(self.input_keys)
+        else:
+            for i in self.rebound:
+                kern, ins, out = self.steps[i]
+                regs[out], self.step_ops[i] = kern.bind(
+                    [regs[r] for r in ins], arena)
+        arena.reuse(self.fixed_keys)
+        return arena.evictions == evictions
+
+    def run_step(self, i: int) -> np.ndarray:
+        """Execute step ``i`` of the loaded input; returns its output."""
+        for op in self.step_ops[i]:
+            op()
+        return self.regs[self.steps[i][2]]
+
+    def run(self) -> None:
+        """Execute the whole plan on the loaded input."""
+        step_ops = self.step_ops
+        for seg in self.segments:
+            for op in (step_ops[seg] if seg.__class__ is int else seg):
+                op()
+
+    def release(self) -> None:
+        """Drop every reference to the loaded input."""
+        for r in self.live:
+            self.regs[r] = None
+        for i in self.rebound:
+            self.step_ops[i] = []
+
+
 class CompiledNet:
     """A flat, fused, allocation-free inference plan.
 
     Call it with an ``(N, C, H, W)`` ndarray to get the network output as
-    an ndarray.  All intermediate buffers live in a shape-keyed
-    :class:`BufferArena`, so after the first call at a given input shape
-    the forward path performs no heap allocation beyond the output copy.
+    an ndarray.  The first call at an input shape binds the plan into a
+    :class:`BoundPlan` stored in the net's :class:`BufferArena`; every
+    later call at that shape replays it, with no heap allocation beyond
+    the output copy.
     """
 
     def __init__(
@@ -428,34 +599,52 @@ class CompiledNet:
         self.arena = arena if arena is not None else BufferArena()
         self.quant = quant  # QuantConfig when integer-domain, else None
         self.quant_stats = quant_stats
+        self._plan_token = object()  # this net's namespace in the arena
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _as_input(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         if x.dtype != np.float32:
             x = x.astype(np.float32)
-        regs: list[np.ndarray | None] = [None] * self.n_regs
-        regs[0] = x
+        return x
+
+    def bind(self, x: np.ndarray) -> BoundPlan:
+        """The bound plan for ``x``'s shape and dtype on this net's arena
+        (binding it on first use), loaded with ``x``."""
+        key = (self._plan_token, x.shape, x.dtype)
         arena = self.arena
+        plan = arena.plan(key)
+        if plan is not None and plan.load(x, arena):
+            return plan
+        evictions = arena.evictions
+        plan = BoundPlan(self.steps, self.n_regs, x, arena)
+        arena.keep_plan(key, plan, evictions)
+        return plan
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = self._as_input(x)
+        plan = self.bind(x)
         if obs.enabled():
             with obs.span("engine/forward", engine=self.name,
                           batch=x.shape[0]):
-                for kern, ins, out in self.steps:
+                for i, (kern, _, _) in enumerate(self.steps):
                     with obs.span("engine/kernel", kernel=kern.label):
-                        regs[out] = kern.run([regs[i] for i in ins], arena)
+                        plan.run_step(i)
         else:
-            for kern, ins, out in self.steps:
-                regs[out] = kern.run([regs[i] for i in ins], arena)
+            plan.run()
         # Copy out of the arena so the caller can hold the result across
         # frames without the next call overwriting it.
-        return np.array(regs[self.out_reg], copy=True)
+        out = np.array(plan.regs[self.out_reg], copy=True)
+        plan.release()
+        return out
 
     def warmup(self, shape: tuple[int, ...], dtype=np.float32) -> int:
         """Dry-run a zeros batch so the first real request allocates nothing.
 
-        One pass at the steady-state ``(N, C, H, W)`` shape faults in and
-        pools every arena buffer the plan will ever need at that
-        geometry (and publishes ``engine/arena/pooled_bytes``).  Returns
-        the arena's pooled byte count.
+        One pass at the steady-state ``(N, C, H, W)`` shape binds the
+        plan for that geometry, faults in and pools every arena buffer it
+        will ever need (and publishes ``engine/arena/pooled_bytes``).
+        Returns the arena's pooled byte count.
         """
         self(np.zeros(shape, dtype))
         if obs.enabled():
@@ -476,7 +665,8 @@ class CompiledNet:
         """A clone sharing this plan's kernels but owning a fresh arena.
 
         The kernels and their weights are immutable at run time, so they
-        are safe to share; the :class:`BufferArena` is not — two threads
+        are safe to share; the :class:`BufferArena` (with the bound plans
+        it owns) is not — two threads
         running the same plan concurrently would overwrite each other's
         scratch buffers mid-forward.  Give each worker thread its own
         clone and the plan becomes freely parallelizable (this is what

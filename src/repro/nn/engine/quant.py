@@ -41,6 +41,7 @@ measured speedup over the fp32 engine comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -182,9 +183,11 @@ class _QuantKernelBase(K.Kernel):
         self._pool = (kernel, stride)
         self.label += f"+maxpool{kernel}/s{stride}"
 
-    def _finish(self, acc: np.ndarray, shape: tuple, arena,
-                bias4: np.ndarray | None = None) -> np.ndarray:
+    def _bind_finish(self, acc: np.ndarray, shape: tuple, arena,
+                     bias4: np.ndarray | None = None) -> tuple:
+        """Bind the requantize tail on ``acc``: returns (output, ops)."""
         acc = acc.reshape(shape)
+        ops = []
         if self._pool is not None:
             k, s = self._pool
             n, c, h, w = shape
@@ -194,41 +197,35 @@ class _QuantKernelBase(K.Kernel):
             # columns on the half-height intermediate — close to half
             # the traffic of the naive k*k strided-tap reduction.
             rows = arena.get(self.key, "poolr", (n, c, oh, w), self.carrier)
-            if k == 2:
-                np.maximum(acc[:, :, : s * oh : s, :],
-                           acc[:, :, 1 : 1 + s * oh : s, :], out=rows)
-            else:
-                np.copyto(rows, acc[:, :, : s * oh : s, :])
-                for i in range(1, k):
-                    np.maximum(rows, acc[:, :, i : i + s * oh : s, :],
-                               out=rows)
             pooled = arena.get(self.key, "pool", (n, c, oh, ow), self.carrier)
-            if k == 2:
-                np.maximum(rows[:, :, :, : s * ow : s],
-                           rows[:, :, :, 1 : 1 + s * ow : s], out=pooled)
-            else:
-                np.copyto(pooled, rows[:, :, :, : s * ow : s])
-                for j in range(1, k):
-                    np.maximum(pooled, rows[:, :, :, j : j + s * ow : s],
-                               out=pooled)
+            row_taps = [acc[:, :, i : i + s * oh : s, :] for i in range(k)]
+            col_taps = [rows[:, :, :, j : j + s * ow : s] for j in range(k)]
+            for dst, taps in ((rows, row_taps), (pooled, col_taps)):
+                if k == 2:
+                    ops.append(partial(np.maximum, taps[0], taps[1], out=dst))
+                else:
+                    ops.append(partial(np.copyto, dst, taps[0]))
+                    ops += [partial(np.maximum, dst, t, out=dst)
+                            for t in taps[1:]]
             acc, shape = pooled, (n, c, oh, ow)
         # A per-channel constant commutes with max-pooling, so the bias
         # lands after the pool — on a quarter of the elements.
         if bias4 is not None:
-            acc += bias4
-        np.clip(acc, self._lo, self._hi, out=acc)
+            ops.append(partial(np.add, acc, bias4, acc))
+        ops.append(partial(K.clip_ufunc, acc, self._lo, self._hi, acc))
         if not self.emit_int:
-            np.rint(acc, out=acc)
-            return acc
+            ops.append(partial(np.rint, acc, acc))
+            return acc, ops
         out = arena.get(self.key, "qout", shape, self.quant.fm_storage)
-        np.rint(acc, out=out, casting="unsafe")
-        return out
+        ops.append(partial(np.rint, acc, out, casting="unsafe"))
+        return out, ops
 
-    def _as_carrier(self, x: np.ndarray, arena, tag: str = "xin") -> np.ndarray:
+    def _carrier_input(self, x: np.ndarray, arena, ops: list) -> np.ndarray:
+        """``x`` in the carrier dtype (a cast copy when it is not)."""
         if x.dtype == self.carrier:
             return x
-        xa = arena.get(self.key, tag, x.shape, self.carrier)
-        np.copyto(xa, x)
+        xa = arena.get(self.key, "xin", x.shape, self.carrier)
+        ops.append(partial(np.copyto, xa, x))
         return xa
 
 
@@ -288,32 +285,36 @@ class QuantConvKernel(_QuantKernelBase):
     _STRIP_ROWS = 8
     _STRIP_MIN_BYTES = 6 * 1024 * 1024
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def bind(self, inputs, arena):
         (x,) = inputs
         n, cin, h, w = x.shape
         cout = self._wmat.shape[0]
         if self.kh == 1 and self.kw == 1 and self.stride == 1 and self.pad == 0:
-            x = self._as_carrier(x, arena)
             if (self._pool == (2, 2) and self.emit_int
                     and h % 2 == 0 and w % 2 == 0
                     and (n * cout * h * w * self.carrier.itemsize
                          >= self._STRIP_MIN_BYTES)):
-                return self._run_strip_pooled(x, arena, n, cin, h, w, cout)
-            cols, oh, ow = x.reshape(n, cin, h * w), h, w
+                return self._bind_strip_pooled(x, arena, n, cin, h, w, cout)
+            ops = []
+            x = self._carrier_input(x, arena, ops)
+            cols, oh, ow = K.reshaped(x, (n, cin, h * w), arena, self.key,
+                                      "xcols", ops), h, w
         else:
             # im2col gathers the integer windows straight into carrier
             # columns: the int -> float cast rides the window copy.
-            cols, oh, ow = K._im2col_into(
+            cols, oh, ow, ops = K.bind_im2col(
                 arena, self.key, x, self.kh, self.kw, self.stride, self.pad,
                 cols_dtype=self.carrier,
             )
         acc = arena.get(self.key, "acc", (n, cout, oh * ow), self.carrier)
-        np.matmul(self._wmat, cols, out=acc)
+        ops.append(partial(np.matmul, self._wmat, cols, acc))
         bias4 = (None if self.bias_out is None
                  else self.bias_out.reshape(1, cout, 1, 1))
-        return self._finish(acc, (n, cout, oh, ow), arena, bias4=bias4)
+        out, tail = self._bind_finish(acc, (n, cout, oh, ow), arena,
+                                      bias4=bias4)
+        return out, ops + tail
 
-    def _run_strip_pooled(self, x, arena, n, cin, h, w, cout) -> np.ndarray:
+    def _bind_strip_pooled(self, x, arena, n, cin, h, w, cout):
         """1x1 conv + fused 2x2/s2 max-pool, row-strip at a time.
 
         The matmul, pool, bias, clip and rounding store all run on one
@@ -321,9 +322,11 @@ class QuantConvKernel(_QuantKernelBase):
         accumulator never round-trips through DRAM.  Identical values to
         the unfused path — only the evaluation order changes."""
         oh, ow = h // 2, w // 2
+        ops = []
         out = arena.get(self.key, "qout", (n, cout, oh, ow),
                         self.quant.fm_storage)
         sr = min(self._STRIP_ROWS, h)
+        xs = arena.get(self.key, "sx", (cin, sr * w), self.carrier)
         accs = arena.get(self.key, "sacc", (cout, sr * w), self.carrier)
         rows = arena.get(self.key, "srow", (cout, sr // 2, w), self.carrier)
         pool = arena.get(self.key, "spool", (cout, sr // 2, ow), self.carrier)
@@ -333,19 +336,30 @@ class QuantConvKernel(_QuantKernelBase):
             xb, ob = x[b], out[b]
             for r0 in range(0, h, sr):
                 r1 = min(r0 + sr, h)
-                a = accs[:, : (r1 - r0) * w]
-                np.matmul(self._wmat, xb[:, r0:r1].reshape(cin, -1), out=a)
-                a = a.reshape(cout, r1 - r0, w)
                 nr = (r1 - r0) // 2
-                rb = rows[:, :nr]
-                np.maximum(a[:, ::2, :], a[:, 1::2, :], out=rb)
-                pb = pool[:, :nr]
-                np.maximum(rb[:, :, ::2], rb[:, :, 1::2], out=pb)
+                xsb = xs[:, : (r1 - r0) * w]
+                a = accs[:, : (r1 - r0) * w]
+                a3 = a.reshape(cout, r1 - r0, w)
+                rb, pb = rows[:, :nr], pool[:, :nr]
+                ops += [
+                    # the strip's rows, gathered channel-major; the cast to
+                    # the carrier rides the copy
+                    partial(np.copyto, xsb.reshape(cin, r1 - r0, w),
+                            xb[:, r0:r1]),
+                    partial(np.matmul, self._wmat, xsb, a),
+                    partial(np.maximum, a3[:, ::2, :], a3[:, 1::2, :],
+                            out=rb),
+                    partial(np.maximum, rb[:, :, ::2], rb[:, :, 1::2],
+                            out=pb),
+                ]
                 if bias2 is not None:
-                    pb += bias2
-                np.clip(pb, self._lo, self._hi, out=pb)
-                np.rint(pb, out=ob[:, r0 // 2 : r1 // 2], casting="unsafe")
-        return out
+                    ops.append(partial(np.add, pb, bias2, pb))
+                ops += [
+                    partial(K.clip_ufunc, pb, self._lo, self._hi, pb),
+                    partial(np.rint, pb, ob[:, r0 // 2 : r1 // 2],
+                            casting="unsafe"),
+                ]
+        return out, ops
 
 
 class QuantDWConvKernel(_QuantKernelBase):
@@ -412,14 +426,14 @@ class QuantDWConvKernel(_QuantKernelBase):
     #: requantize tail run without round trips to DRAM.
     _TAP_BLOCK_BYTES = 832 * 1024
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def bind(self, inputs, arena):
         (x,) = inputs
         n, c, h, w = x.shape
         s, p = self.stride, self.pad
         oh = conv_out_size(h, self.kh, s, p)
         ow = conv_out_size(w, self.kw, s, p)
         if n * oh * ow < self._TAP_MIN_PIXELS:
-            return self._run_matmul(x, arena, n, c, oh, ow)
+            return self._bind_matmul(x, arena, n, c, oh, ow)
         # The padded copy keeps the *storage* dtype — the tap multiplies
         # read int8/int16 directly (a quarter of the carrier's read
         # bandwidth); NumPy widens each product into the carrier output.
@@ -427,7 +441,7 @@ class QuantDWConvKernel(_QuantKernelBase):
         # touched again (same trick as the fp32 im2col pad buffer).
         xp = arena.get(self.key, "xpad", (n, c, h + 2 * p, w + 2 * p),
                        x.dtype, zero=True)
-        xp[:, :, p : p + h, p : p + w] = x
+        ops = [partial(np.copyto, xp[:, :, p : p + h, p : p + w], x)]
         if self.emit_int:
             out = arena.get(self.key, "qout", (n, c, oh, ow),
                             self.quant.fm_storage)
@@ -445,35 +459,34 @@ class QuantDWConvKernel(_QuantKernelBase):
             xb = xp[:, c0:c1]
             ab = acc[:, : c1 - c0]
             tb = tmp[:, : c1 - c0]
-            first = True
-            for i, j, wt in self._taps:
+            for t, (i, j, wt) in enumerate(self._taps):
                 win = xb[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                if first:
-                    np.multiply(win, wt[:, c0:c1], out=ab)
-                    first = False
+                if t == 0:
+                    ops.append(partial(np.multiply, win, wt[:, c0:c1], ab))
                 else:
-                    np.multiply(win, wt[:, c0:c1], out=tb)
-                    ab += tb
+                    ops += [partial(np.multiply, win, wt[:, c0:c1], tb),
+                            partial(np.add, ab, tb, ab)]
             # Whole tail per block while it is cache-hot: bias, the
             # merged act/saturate clip, and the rounding store.
             if bias4 is not None:
-                ab += bias4[:, c0:c1]
-            np.clip(ab, self._lo, self._hi, out=ab)
-            np.rint(ab, out=out[:, c0:c1], casting="unsafe")
-        return out
+                ops.append(partial(np.add, ab, bias4[:, c0:c1], ab))
+            ops += [partial(K.clip_ufunc, ab, self._lo, self._hi, ab),
+                    partial(np.rint, ab, out[:, c0:c1], casting="unsafe")]
+        return out, ops
 
-    def _run_matmul(self, x, arena, n, c, oh, ow) -> np.ndarray:
+    def _bind_matmul(self, x, arena, n, c, oh, ow):
         """im2col + batched matmul variant (small output maps)."""
-        cols, oh, ow = K._im2col_into(
+        cols, oh, ow, ops = K.bind_im2col(
             arena, self.key, x, self.kh, self.kw, self.stride, self.pad,
             cols_dtype=self.carrier,
         )
         cols = cols.reshape(n, c, self.kh * self.kw, oh * ow)
         acc = arena.get(self.key, "accm", (n, c, 1, oh * ow), self.carrier)
-        np.matmul(self._wmat, cols, out=acc)
+        ops.append(partial(np.matmul, self._wmat, cols, acc))
         bias4 = (None if self.bias_out is None
                  else self.bias_out.reshape(1, c, 1, 1))
-        return self._finish(acc, (n, c, oh, ow), arena, bias4=bias4)
+        out, tail = self._bind_finish(acc, (n, c, oh, ow), arena, bias4=bias4)
+        return out, ops + tail
 
 
 class QuantBundleKernel(K.Kernel):
@@ -488,9 +501,10 @@ class QuantBundleKernel(K.Kernel):
         self.pw = pw
         self.label = f"qbundle[{dw.label} | {pw.label}]"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        mid = self.dw.run(inputs, arena)
-        return self.pw.run([mid], arena)
+    def bind(self, inputs, arena):
+        mid, ops = self.dw.bind(inputs, arena)
+        out, pw_ops = self.pw.bind([mid], arena)
+        return out, ops + pw_ops
 
 
 class QuantizeKernel(K.Kernel):
@@ -510,14 +524,16 @@ class QuantizeKernel(K.Kernel):
         self._scale = self._dtype.type(2.0**frac)
         self.label = f"quantize f{frac} [{quant.label}]"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def bind(self, inputs, arena):
         (x,) = inputs
         q = arena.get(self.key, "q", x.shape, self._dtype)
-        np.multiply(x, self._scale, out=q)
-        np.clip(q, self.quant.fm_qmin, self.quant.fm_qmax, out=q)
         out = arena.get(self.key, "out", x.shape, self.quant.fm_storage)
-        np.rint(q, out=out, casting="unsafe")
-        return out
+        return out, [
+            partial(np.multiply, x, self._scale, q),
+            partial(K.clip_ufunc, q, self.quant.fm_qmin, self.quant.fm_qmax,
+                    q),
+            partial(np.rint, q, out, casting="unsafe"),
+        ]
 
 
 class DequantizeKernel(K.Kernel):
@@ -529,12 +545,11 @@ class DequantizeKernel(K.Kernel):
         self._inv_scale = 2.0**-frac
         self.label = f"dequantize f{frac}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def bind(self, inputs, arena):
         (x,) = inputs
         out = arena.get(self.key, "out", x.shape, np.float32)
-        np.copyto(out, x)
-        out *= self._inv_scale
-        return out
+        return out, [partial(np.copyto, out, x),
+                     partial(np.multiply, out, self._inv_scale, out)]
 
 
 class QuantRequantKernel(_QuantKernelBase):
@@ -553,12 +568,12 @@ class QuantRequantKernel(_QuantKernelBase):
         name = f"qact:{act[0]}" if act else "requant"
         self.label = f"{name} f{in_frac}->f{out_frac}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def bind(self, inputs, arena):
         (x,) = inputs
         acc = arena.get(self.key, "acc", x.shape, self.carrier)
         # One ufunc pass: integer -> carrier cast and grid shift together.
-        np.multiply(x, self._scale, out=acc)
-        return self._finish(acc, x.shape, arena)
+        out, tail = self._bind_finish(acc, x.shape, arena)
+        return out, [partial(np.multiply, x, self._scale, acc)] + tail
 
 
 class QuantAvgPoolKernel(_QuantKernelBase):
@@ -573,22 +588,21 @@ class QuantAvgPoolKernel(_QuantKernelBase):
         self._inv_area = 1.0 / (kernel * kernel)
         self.label = f"qavgpool{kernel}x{kernel}/s{stride} f{frac}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def bind(self, inputs, arena):
         (x,) = inputs
         n, c, h, w = x.shape
         k, s = self.kernel, self.stride
         oh = conv_out_size(h, k, s, 0)
         ow = conv_out_size(w, k, s, 0)
-        xa = self._as_carrier(x, arena)
+        ops = []
+        xa = self._carrier_input(x, arena, ops)
         acc = arena.get(self.key, "acc", (n, c, oh, ow), self.carrier)
-        np.copyto(acc, xa[:, :, : s * oh : s, : s * ow : s])
-        for i in range(k):
-            for j in range(k):
-                if i == 0 and j == 0:
-                    continue
-                acc += xa[:, :, i : i + s * oh : s, j : j + s * ow : s]
-        acc *= self._inv_area
-        return self._finish(acc, (n, c, oh, ow), arena)
+        first, *rest = K.pool_taps(xa, k, s, oh, ow)
+        ops.append(partial(np.copyto, acc, first))
+        ops += [partial(np.add, acc, tap, acc) for tap in rest]
+        ops.append(partial(np.multiply, acc, self._inv_area, acc))
+        out, tail = self._bind_finish(acc, (n, c, oh, ow), arena)
+        return out, ops + tail
 
 
 # --------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 __all__ = [
+    "MIN_TILED_MACS",
     "get_intra_op_threads",
     "intra_op_matmul",
     "set_intra_op_threads",
@@ -29,6 +30,9 @@ __all__ = [
 # Below this many multiply-accumulates a tile handoff costs more than
 # the BLAS call it would split.
 _MIN_MACS_PER_THREAD = 2_000_000
+#: Smallest GEMM :func:`intra_op_matmul` ever splits (two tiles' worth);
+#: anything below runs as one plain matmul at every thread setting.
+MIN_TILED_MACS = 2 * _MIN_MACS_PER_THREAD
 
 _lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None

@@ -12,10 +12,10 @@ percentages — and :func:`render_comparison` lines two profiles up so a
 speedup claim decomposes per kernel (``repro profile <net> --engine
 --quant-bits 8,8``).
 
-The profiler drives the plan's own step list with the plan's own arena,
-so what it times is exactly what :meth:`CompiledNet.__call__` runs —
-minus the per-step span bookkeeping, which stays out of the timed
-region.
+The profiler replays the net's own bound plan
+(:meth:`CompiledNet.bind`) step by step on the net's own arena, so what
+it times is exactly what :meth:`CompiledNet.__call__` runs — minus the
+per-step span bookkeeping, which stays out of the timed region.
 """
 
 from __future__ import annotations
@@ -199,20 +199,18 @@ def profile_net(net, x: np.ndarray, reps: int = 10,
     meta: list[tuple[str, int, int] | None] = [None] * len(steps)
 
     for rep in range(warmup + reps):
-        regs: list[np.ndarray | None] = [None] * net.n_regs
-        regs[0] = x
         timed = rep >= warmup
-        for i, (kern, ins, out_reg) in enumerate(steps):
-            inputs = [regs[r] for r in ins]
+        plan = net.bind(x)
+        for i, (kern, _, _) in enumerate(steps):
             t0 = time.perf_counter()
-            out = kern.run(inputs, net.arena)
+            out = plan.run_step(i)
             t1 = time.perf_counter()
-            regs[out_reg] = out
             if timed:
                 times[i].append((t1 - t0) * 1e3)
             if meta[i] is None:
                 meta[i] = (_step_dtype(kern, out), _step_flops(kern, out),
                            int(out.nbytes))
+        plan.release()
 
     profile = KernelProfile(
         name=net.name,

@@ -395,13 +395,10 @@ class TrackState:
 
     def update(self, box: np.ndarray) -> tuple[str, np.ndarray]:
         """Fold one cxcywh detection in; returns (event kind, box)."""
-        from ..detection.boxes import box_iou, cxcywh_to_xyxy
-
         box = np.asarray(box, dtype=np.float64).reshape(-1)[:4]
         self.updates += 1
         if self.box is not None:
-            iou = float(box_iou(cxcywh_to_xyxy(self.box),
-                                cxcywh_to_xyxy(box)))
+            iou = _scalar_iou(self.box.tolist(), box.tolist())
             if iou >= self.iou_threshold:
                 self.box = self.smooth * self.box + (1 - self.smooth) * box
                 self.age += 1
@@ -410,6 +407,35 @@ class TrackState:
         self.box = box.copy()
         self.age = 0
         return "track_new", self.box
+
+
+def _max(a: float, b: float) -> float:
+    """``np.maximum`` on two floats (NaN propagates)."""
+    return a if a > b or a != a else b
+
+
+def _min(a: float, b: float) -> float:
+    """``np.minimum`` on two floats (NaN propagates)."""
+    return a if a < b or a != a else b
+
+
+def _scalar_iou(a, b) -> float:
+    """IoU of two cxcywh boxes given as float sequences.
+
+    The same float64 operations, in the same order, as
+    ``box_iou(cxcywh_to_xyxy(a), cxcywh_to_xyxy(b))`` — so the same
+    result bit for bit — without building six small arrays per frame.
+    """
+    ax1, ay1 = a[0] - a[2] / 2, a[1] - a[3] / 2
+    ax2, ay2 = a[0] + a[2] / 2, a[1] + a[3] / 2
+    bx1, by1 = b[0] - b[2] / 2, b[1] - b[3] / 2
+    bx2, by2 = b[0] + b[2] / 2, b[1] + b[3] / 2
+    x1, y1 = _max(ax1, bx1), _max(ay1, by1)
+    x2, y2 = _min(ax2, bx2), _min(ay2, by2)
+    inter = _max(x2 - x1, 0.0) * _max(y2 - y1, 0.0)
+    union = (_max(ax2 - ax1, 0.0) * _max(ay2 - ay1, 0.0)
+             + _max(bx2 - bx1, 0.0) * _max(by2 - by1, 0.0) - inter)
+    return inter / _max(union, 1e-12) if union > 0 else 0.0
 
 
 # --------------------------------------------------------------------- #

@@ -299,3 +299,16 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["fly-to-the-moon"])
+
+    @pytest.mark.parametrize("extra", [[], ["--engine"]])
+    def test_unknown_backbone_is_a_parser_error(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["profile", "skynet_a", *extra])
+        assert exc.value.code == 2  # argparse's usage-error exit
+        err = capsys.readouterr().err
+        assert "unknown backbone 'skynet_a'" in err
+        assert "skynet-a" in err and "mobilenet" in err  # lists valid names
+
+    def test_backbone_name_is_case_insensitive(self, capsys):
+        assert cli_main(["profile", "SkyNet-A", "--width", "0.25"]) == 0
+        assert "params" in capsys.readouterr().out

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detection.boxes import box_iou, cxcywh_to_xyxy
+from repro.detection.head import best_box, decode_grid
 from repro.detection.postprocess import nms
 from repro.hardware.fpga.resources import bram18_for_buffer, dsp_count
 from repro.hardware.quantization import quantize_fixed
@@ -137,3 +138,92 @@ class TestNmsProperties:
         scores = rng.uniform(size=n)
         kept = nms(boxes, scores)
         assert int(np.argmax(scores)) in kept.tolist()
+
+
+def _best_box_reference(raw: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """The full-grid decode followed by an argmax over (anchor, cell)."""
+    boxes, conf = decode_grid(raw, anchors)
+    n = raw.shape[0]
+    idx = conf.reshape(n, -1).argmax(axis=1)
+    return boxes.reshape(n, -1, 4)[np.arange(n), idx]
+
+
+# Logits up to +-60 (where the decode clips), plus a pool of repeated
+# values so ties — and confidences saturated to exactly 1.0 — are common.
+_logit = st.one_of(
+    st.floats(-60.0, 60.0, width=32),
+    st.sampled_from([-60.0, -8.0, 0.0, 8.0, 17.5, 37.0, 40.0, 60.0]),
+)
+
+
+class TestBestBoxProperties:
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
+           st.integers(1, 5), st.sampled_from([np.float32, np.float64]),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_grid_decode(self, n, k, gh, gw, dtype, data):
+        raw = np.asarray(data.draw(st.lists(
+            _logit, min_size=n * k * 5 * gh * gw,
+            max_size=n * k * 5 * gh * gw)), dtype=dtype)
+        raw = raw.reshape(n, k * 5, gh, gw)
+        anchors = np.asarray(data.draw(st.lists(
+            st.floats(0.01, 1.0), min_size=2 * k, max_size=2 * k)))
+        anchors = anchors.reshape(k, 2)
+        got = best_box(raw, anchors)
+        want = _best_box_reference(raw, anchors)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class _BoxIouTrack:
+    """TrackState's association written with the array ``box_iou``."""
+
+    def __init__(self, iou_threshold: float, smooth: float) -> None:
+        self.iou_threshold, self.smooth = iou_threshold, smooth
+        self.track_id, self.box, self.age = 0, None, 0
+
+    def update(self, box):
+        box = np.asarray(box, dtype=np.float64).reshape(-1)[:4]
+        if self.box is not None:
+            iou = float(box_iou(cxcywh_to_xyxy(self.box),
+                                cxcywh_to_xyxy(box)))
+            if iou >= self.iou_threshold:
+                self.box = self.smooth * self.box + (1 - self.smooth) * box
+                self.age += 1
+                return "track_update", self.box
+        self.track_id += 1
+        self.box = box.copy()
+        self.age = 0
+        return "track_new", self.box
+
+
+_coord = st.one_of(st.floats(-0.5, 1.5), st.just(0.0))
+_size = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-13]))
+# A step either nudges the previous detection (usually the same track;
+# a zero nudge repeats it exactly) or jumps to a fresh box (usually a
+# new track).  Thresholds 0 and 1 make IoU ties with the gate common.
+_step = st.tuples(st.booleans(), _coord, _coord, _size, _size)
+_threshold = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+
+
+class TestTrackStateProperties:
+    @given(_threshold, st.floats(0.0, 1.0),
+           st.lists(_step, min_size=1, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_box_iou_association(self, threshold, smooth, steps):
+        from repro.serve import TrackState
+
+        track = TrackState(iou_threshold=threshold, smooth=smooth)
+        ref = _BoxIouTrack(threshold, smooth)
+        prev = np.array([0.5, 0.5, 0.2, 0.2])
+        for nudge, a, b, c, d in steps:
+            if nudge:
+                box = prev + np.array([a, b, c, d]) * 0.05
+            else:
+                box = np.array([a, b, c, d])
+            kind, got = track.update(box)
+            want_kind, want = ref.update(box)
+            assert kind == want_kind
+            assert (track.track_id, track.age) == (ref.track_id, ref.age)
+            np.testing.assert_array_equal(got, want)
+            prev = box
