@@ -114,7 +114,7 @@ def measure_crash_throughput(requests: int = REQUESTS,
             with faults.inject(plan):
                 rps, ok = _pump(server, frames)
             lost += requests - ok
-            respawns += server.stats.respawns
+            respawns += server.stats.snapshot()["respawns"]
             faulted_rps = max(faulted_rps, rps)
 
     return {
@@ -188,7 +188,7 @@ def measure_procworker_crash(requests: int = 48) -> dict:
     with Session.load(det, serve=serve) as session, faults.inject(plan):
         futures = [session.submit(f) for f in frames]
         ok = sum(1 for f in futures if f.result(timeout=120.0).ok)
-        respawns = session._procpool.respawns
+        respawns = session.health()["procpool"]["respawns"]
         fallback = session.server.stats.snapshot()["fallback_batches"]
     return {
         "requests": requests,

@@ -65,7 +65,7 @@ def _sources(frames: int, interval_ms: float = 0.0) -> list:
 
 def _collect(manager: StreamManager, wall_s: float) -> dict:
     acct = manager.accounting()
-    put_max = max(s.stats.snapshot()["put_block_ms_max"]
+    put_max = max(s.snapshot()["put_block_ms_max"]
                   for s in manager.streams)
     return {
         "streams": STREAMS,

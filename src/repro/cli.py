@@ -514,7 +514,8 @@ def _serve_load(session, frames, args) -> int:
     results = [f.result(timeout=30.0) for f in futures]
     wall = time.perf_counter() - t0
 
-    stats = session.server.stats.snapshot()
+    health = session.health()
+    stats = health["stats"]
     ok = sum(1 for r in results if r.ok)
     print(f"served {len(results)} requests in {wall * 1e3:.1f} ms "
           f"({len(results) / wall:.1f} req/s, "
@@ -522,13 +523,12 @@ def _serve_load(session, frames, args) -> int:
     print(f"  ok {ok}  shed {stats['shed']}  timeouts {stats['timeouts']}  "
           f"errors {stats['errors']}")
     print(f"  batches {stats['batches']}  "
-          f"mean batch {session.server.stats.mean_batch_size():.2f}  "
+          f"mean batch {stats['mean_batch_size']:.2f}  "
           f"(flush at {args.batch_size} or {args.max_wait_ms} ms)")
     lat = [r.latency_ms for r in results if r.ok]
     if lat:
         print(f"  latency p50 {np.percentile(lat, 50):.1f} ms  "
               f"p95 {np.percentile(lat, 95):.1f} ms")
-    health = session.health()
     breaker = health.get("breaker")
     print(f"  health {health['status']}  workers "
           f"{health['workers_alive']}/{health['workers_total']}  "

@@ -6,13 +6,9 @@ import numpy as np
 
 from ..nn import Tensor
 from ..nn.module import Module
-from ..utils.deprecation import warn_once
 from .head import YoloHead
 
 __all__ = ["Detector"]
-
-# Legacy ``engine=`` spellings -> Session backends.
-_ENGINE_TO_BACKEND = {"eager": "eager", "compiled": "engine"}
 
 
 class Detector(Module):
@@ -33,7 +29,6 @@ class Detector(Module):
         self.backbone = backbone
         self.head = head if head is not None else YoloHead(backbone.out_channels)
         self._sessions: dict = {}
-        self._compiled = None  # legacy compile() cache
 
     @property
     def anchors(self) -> np.ndarray:
@@ -50,11 +45,10 @@ class Detector(Module):
             for session in self._sessions.values():
                 session.close()
             self._sessions = {}
-            self._compiled = None
         return super().train(mode)
 
     # ------------------------------------------------------------------ #
-    # the Session path (and its deprecation shims)
+    # the Session path
     # ------------------------------------------------------------------ #
     def session(self, config=None, serve=None):
         """The cached :class:`~repro.runtime.Session` for ``config``.
@@ -76,31 +70,12 @@ class Detector(Module):
             self._sessions[config] = session
         return session
 
-    def predict(self, images: np.ndarray, config=None, *,
-                engine: str | None = None) -> np.ndarray:
+    def predict(self, images: np.ndarray, config=None) -> np.ndarray:
         """Inference: (N, 3, H, W) images -> (N, 4) cxcywh boxes.
 
         ``config`` is a :class:`~repro.runtime.SessionConfig` selecting
-        the backend (compiled engine by default).  The ``engine=``
-        keyword is a deprecated alias: ``"compiled"`` maps to
-        ``SessionConfig(backend="engine")`` and ``"eager"`` to
-        ``SessionConfig(backend="eager")``.
+        the backend (compiled engine by default).
         """
-        from ..runtime import SessionConfig
-
-        if engine is not None:
-            backend = _ENGINE_TO_BACKEND.get(engine)
-            if backend is None:
-                raise ValueError(f"unknown engine {engine!r}")
-            warn_once(
-                "Detector.predict.engine",
-                "Detector.predict(engine=...) is deprecated; pass "
-                "config=SessionConfig(backend='engine'|'eager') instead",
-            )
-            if config is not None:
-                raise TypeError("pass either config= or engine=, not both")
-            config = SessionConfig(backend=backend,
-                                   fallback=backend == "eager")
         was_training = self.training
         if was_training:
             self.eval()
@@ -109,28 +84,3 @@ class Detector(Module):
         finally:
             if was_training:
                 self.train()
-
-    def compile(self, arena=None):
-        """Deprecated: compile the eval-mode forward into a
-        :class:`repro.nn.engine.CompiledNet` (cached until :meth:`train`).
-
-        Use ``Session.load(detector)`` instead — sessions own
-        compilation, thread cloning and the eager fallback.
-        """
-        warn_once(
-            "Detector.compile",
-            "Detector.compile() is deprecated; use "
-            "repro.runtime.Session.load(detector) instead",
-        )
-        from ..nn.engine import compile_net
-
-        if self._compiled is None:
-            was_training = self.training
-            self.eval()
-            net = compile_net(
-                self, name=type(self.backbone).__name__, arena=arena
-            )
-            if was_training:
-                self.train()
-            self._compiled = net
-        return self._compiled

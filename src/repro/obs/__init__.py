@@ -35,7 +35,7 @@ from .export import (
     prometheus_text,
 )
 from .layer_timer import LayerTimer
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, CounterSet, Gauge, Histogram, MetricsRegistry
 from .profile import (
     KernelProfile,
     StepProfile,
@@ -45,6 +45,7 @@ from .profile import (
 )
 from .recorder import (
     Recorder,
+    attach_counters,
     disable,
     enable,
     enabled,
@@ -68,6 +69,7 @@ __all__ = [
     "render_span_tree",
     "aggregate_spans",
     "Counter",
+    "CounterSet",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -82,6 +84,7 @@ __all__ = [
     "record_span",
     "event",
     "inc",
+    "attach_counters",
     "set_gauge",
     "observe",
     "load_trace",

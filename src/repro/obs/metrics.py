@@ -4,6 +4,10 @@ Instruments in this module are cheap append/assign operations so the
 hot loops (training batches, PSO evaluations) can record freely; the
 expensive work — sorting for quantiles, table rendering — happens only
 when a summary is requested.
+
+:class:`CounterSet` is the exception to "exists only while recording":
+a serving component's always-on event counts, which its ``health()``
+reads and which a registry exports once the set is attached.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import threading
 import time
 import zlib
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "CounterSet", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: Fallback monotonic epoch for the ``updated_ms`` stamps below.
 #: Standalone instruments measure from module import; instruments made
@@ -44,6 +48,49 @@ class Counter:
     def record(self) -> dict:
         return {"type": "counter", "name": self.name, "value": self.value,
                 "updated_ms": self.updated_ms}
+
+
+class CounterSet:
+    """A component's always-on event counters behind one lock.
+
+    Its ``health()`` reads :meth:`snapshot`; a registry it is attached
+    to (:meth:`MetricsRegistry.attach`) exports each counter as
+    ``<prefix>/<name>``.  Counters that move together must go through
+    one :meth:`add_many` call, or a concurrent :meth:`snapshot` could
+    see a *torn* state (say, an impossible mean batch size).  ``derive``
+    maps the counts to extra snapshot-only values (a mean batch size).
+    """
+
+    def __init__(self, *names: str, derive=None) -> None:
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(names, 0)
+        self._derive = derive
+
+    def add(self, name: str, amount: int = 1) -> None:
+        with self._lock:
+            self._counts[name] += amount
+
+    def add_many(self, **amounts: int) -> None:
+        """Bump several counters atomically (one lock acquisition)."""
+        with self._lock:
+            for name, amount in amounts.items():
+                self._counts[name] += amount
+
+    def counts(self) -> dict:
+        """A consistent copy of the raw counters."""
+        with self._lock:
+            return dict(self._counts)
+
+    def snapshot(self) -> dict:
+        """A consistent point-in-time copy of every counter plus the
+        derived values, stamped with the monotonic clock
+        (``ts_monotonic``) so scrape consumers can order snapshots
+        without trusting wall time."""
+        with self._lock:
+            snap = {"ts_monotonic": time.monotonic(), **self._counts}
+        if self._derive is not None:
+            snap.update(self._derive(snap))
+        return snap
 
 
 class Gauge:
@@ -174,6 +221,7 @@ class MetricsRegistry:
 
     def __init__(self, epoch: float | None = None) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._attached: dict[str, list[CounterSet]] = {}
         self._lock = threading.Lock()
         #: ``updated_ms`` epoch for every instrument created here; a
         #: Recorder passes its tracer's epoch so metric updates and
@@ -207,10 +255,31 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
+    def attach(self, prefix: str, counters: CounterSet) -> None:
+        """Export ``counters`` as ``<prefix>/<name>`` counter records,
+        read live on every :meth:`records` call.  Sets attached under
+        one prefix are summed, so two servers in one process export one
+        ``serve/completed``."""
+        with self._lock:
+            self._attached.setdefault(prefix, []).append(counters)
+
     def records(self) -> list[dict]:
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
-        return [m.record() for m in metrics]
+            attached = [(p, list(sets)) for p, sets in self._attached.items()]
+        records = [m.record() for m in metrics]
+        updated_ms = (time.perf_counter() - self.epoch) * 1e3
+        for prefix, sets in attached:
+            totals: dict[str, int] = {}
+            for counters in sets:
+                for name, value in counters.counts().items():
+                    totals[name] = totals.get(name, 0) + value
+            records.extend(
+                {"type": "counter", "name": f"{prefix}/{name}",
+                 "value": value, "updated_ms": updated_ms}
+                for name, value in totals.items()
+            )
+        return sorted(records, key=lambda r: r["name"])
 
     def export_jsonl(self, fh) -> None:
         for rec in self.records():

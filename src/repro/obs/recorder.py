@@ -31,6 +31,7 @@ __all__ = [
     "record_span",
     "event",
     "inc",
+    "attach_counters",
     "set_gauge",
     "observe",
     "load_trace",
@@ -192,6 +193,15 @@ def inc(name: str, amount: float = 1.0) -> None:
     recorder = _RECORDER
     if recorder is not None:
         recorder.metrics.counter(name).inc(amount)
+
+
+def attach_counters(prefix: str, counters) -> None:
+    """Export a component's :class:`~repro.obs.metrics.CounterSet` as
+    ``<prefix>/<name>`` through the installed recorder (no-op when
+    disabled).  Components call this once, at construction."""
+    recorder = _RECORDER
+    if recorder is not None:
+        recorder.metrics.attach(prefix, counters)
 
 
 def set_gauge(name: str, value: float) -> None:

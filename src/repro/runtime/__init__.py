@@ -5,8 +5,7 @@ One facade (:class:`Session`) and two frozen config objects
 keyword sprawl that inference options used to live in.  Every inference
 consumer — :class:`~repro.detection.model.Detector`,
 :class:`~repro.tracking.siamfc.SiamFCTracker`, the CLI and the
-benchmarks — routes through here; the old ``engine=``/``compile()``
-entrypoints remain as deprecation shims that forward to a Session.
+benchmarks — routes through here.
 
 Quick start::
 

@@ -1,9 +1,8 @@
 """Frozen configuration dataclasses for the inference runtime.
 
-These replace the loose keyword arguments that used to be scattered
-across ``Detector.predict(engine=...)``, ``SiamFCTracker(engine=...)``
-and the CLI option blocks: one hashable, validated value object per
-concern.  :class:`SessionConfig` says *how a forward runs* (which
+One hashable, validated value object per concern, shared by
+``Detector.predict(config=...)``, ``SiamFCTracker(config=...)`` and the
+CLI option blocks.  :class:`SessionConfig` says *how a forward runs* (which
 backend, batch tiling, pipelining); :class:`ServeConfig` says *how a
 server schedules requests* (queue bound, batching window, deadlines,
 workers).  Both are frozen so they can key session caches and be shared

@@ -1,9 +1,7 @@
 """The :class:`Session` facade — the one way to run inference.
 
-Before this module existed the repository had four inference entrypoints
-with different spellings: ``Detector.predict(engine=...)``,
-``SiamFCTracker(engine=...)``, ``compile_extractor`` and the CLI's
-``--engine`` flag.  A Session unifies them::
+``Detector.predict``, ``SiamFCTracker``, the CLI and the servers all
+run their forwards through a Session::
 
     session = Session.load(detector)            # compiles, or falls
     boxes = session.run(images)                 # back to eager
@@ -23,7 +21,9 @@ Sessions are cheap façades over shared immutable state (compiled plans
 share kernels across thread clones), so every worker thread of an
 :class:`~repro.serve.InferenceServer` gets its own runner via
 :meth:`Session.runner_for_thread` — buffer arenas are never shared
-across threads.
+across threads.  Every runner a session hands out (``run``, server
+workers, worker processes, the eager fallback, the pipeline's DNN
+stage) is composed by one method, ``Session._compose``.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class Session:
         config: SessionConfig,
         backend: str,
         forward,
-        clone_forward,
         postprocess,
         name: str,
     ) -> None:
@@ -93,8 +92,10 @@ class Session:
         self.name = name
         self.last_pipeline = None
         self._forward = forward
-        self._clone_forward = clone_forward
         self._postprocess = postprocess
+        #: ``_forward`` composed by :meth:`_compose`; what :meth:`run`
+        #: calls.
+        self._runner = None
         #: Eager forward kept alongside a compiled plan; the serving
         #: circuit breaker fails over to it when the engine misbehaves.
         self._eager_forward = None
@@ -181,7 +182,6 @@ class Session:
                 model, config,
                 "quant" if model.quant is not None else "engine",
                 forward=model,
-                clone_forward=lambda: model.clone_for_thread(),
                 postprocess=None,
                 name=model.name,
             )
@@ -198,55 +198,45 @@ class Session:
             if backend in ("engine", "quant") and eager_forced():
                 obs.inc("runtime/eager_pinned")
                 backend = "eager"
+            # The fallback ladder quant -> engine -> eager, one warning
+            # per step down: rung -> (verb, next rung, its label, counter).
+            ladder = {
+                "quant": ("quantize", "engine", "the fp32 engine",
+                          "runtime/quant_fallback"),
+                "engine": ("compile", "eager", "the eager backend",
+                           "runtime/eager_fallback"),
+            }
             net = None
-            if backend == "quant":
-                # Top rung of the fallback ladder: quant -> engine ->
-                # eager, one warning per step down.
+            while net is None and backend in ladder:
+                verb, lower, label, counter = ladder[backend]
                 try:
                     net = compile_target(
-                        quant=QuantConfig(*config.quant_bits),
+                        quant=(QuantConfig(*config.quant_bits)
+                               if backend == "quant" else None),
                         calibration=calibration,
                     )
                 except CompileError as exc:
                     if not config.fallback:
                         raise
                     warnings.warn(
-                        f"Session: cannot quantize {name} "
-                        f"({exc}); falling back to the fp32 engine",
+                        f"Session: cannot {verb} {name} ({exc}); "
+                        f"falling back to {label}",
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                    obs.inc("runtime/quant_fallback")
-                    backend = "engine"
-            if backend == "engine":
-                try:
-                    net = compile_target()
-                except CompileError as exc:
-                    if not config.fallback:
-                        raise
-                    warnings.warn(
-                        f"Session: cannot compile {name} "
-                        f"({exc}); falling back to the eager backend",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    obs.inc("runtime/eager_fallback")
-                    backend = "eager"
-            if backend in ("engine", "quant"):
-                forward = net
-                clone_forward = net.clone_for_thread
-            else:
-                forward = target
-                clone_forward = lambda: target  # noqa: E731 - stateless
-            session = cls(model, config, backend, forward, clone_forward,
-                          postprocess, name)
-            if backend in ("engine", "quant"):
+                    obs.inc(counter)
+                    backend = lower
+            compiled = backend in ("engine", "quant")
+            session = cls(model, config, backend,
+                          net if compiled else target, postprocess, name)
+            if compiled:
                 session._eager_forward = target
         if tiler is not None:
             # The tiler's merge step replaces the single-box decode:
             # split -> one batched forward -> remap -> global NMS.
             session._tiler = tiler
             session._postprocess = None
+        session._runner = session._compose(session._forward)
         if serve is not None:
             session._serve_config = serve
         session._calibration = calibration
@@ -260,7 +250,7 @@ class Session:
                     f"got {warmup!r}"
                 )
             session._warmup_shape = shape
-            session._run_batch(np.zeros(shape, np.float32))
+            session._runner(np.zeros(shape, np.float32))
             arena = getattr(session._forward, "arena", None)
             if arena is not None and obs.enabled():
                 obs.set_gauge("engine/arena/pooled_bytes", arena.nbytes())
@@ -272,59 +262,72 @@ class Session:
         """Pick the forward target for ``model``: (eager_fn,
         postprocess, compile_fn).  The compile fn accepts the optional
         ``quant``/``calibration`` pair of the quantized backend."""
+        from functools import partial
+
         from ..detection.head import best_box
         from ..detection.model import Detector
         from ..nn import Tensor, no_grad
         from ..nn.engine import compile_net
 
+        postprocess = None
         if isinstance(model, Detector):
-            def eager(x: np.ndarray) -> np.ndarray:
-                with no_grad():
-                    return model.forward(Tensor(x)).data
+            entry = model.forward
 
             def postprocess(raw: np.ndarray) -> np.ndarray:
                 return best_box(raw, model.head.anchors)
 
-            def compile_target(quant=None, calibration=None):
-                return compile_net(
-                    model, name=type(model.backbone).__name__,
-                    quant=quant, calibration=calibration,
-                )
-
-            return eager, postprocess, compile_target
-
-        if hasattr(model, "extract"):  # Siamese trackers
+            compile_target = partial(compile_net, model,
+                                     name=type(model.backbone).__name__)
+        elif hasattr(model, "extract"):  # Siamese trackers
             from ..tracking.siamese import compile_extractor
 
-            def eager(x: np.ndarray) -> np.ndarray:
-                with no_grad():
-                    return model.extract(Tensor(x)).data
-
-            return eager, None, (
-                lambda quant=None, calibration=None:
-                compile_extractor(model, quant=quant, calibration=calibration)
-            )
+            entry = model.extract
+            compile_target = partial(compile_extractor, model)
+        else:
+            entry = model
+            compile_target = partial(compile_net, model)
 
         def eager(x: np.ndarray) -> np.ndarray:
             with no_grad():
-                return model(Tensor(x)).data
+                return entry(Tensor(x)).data
 
-        return eager, None, (
-            lambda quant=None, calibration=None:
-            compile_net(model, quant=quant, calibration=calibration)
-        )
+        return eager, postprocess, compile_target
 
     # ------------------------------------------------------------------ #
     # synchronous path
     # ------------------------------------------------------------------ #
-    def _run_batch(self, x: np.ndarray) -> np.ndarray:
-        """Forward + postprocess with microbatch tiling, thread-agnostic
-        via ``fn``: used by both :meth:`run` and server workers."""
+    def _compose(self, forward, decode: bool = True):
+        """Compose ``forward`` into a batch runner: the one place the
+        execution shape of :meth:`run`, :meth:`stream`, server workers
+        (thread clones and worker processes alike) and the breaker's
+        eager fallback is decided.  A tiled session splits frames, runs
+        every tile as one ``forward`` call and merges the detections;
+        otherwise the postprocess (a Detector's box decode) follows the
+        forward, unless ``decode=False`` (the pipeline decodes in its own
+        stage).  Batches above ``config.microbatch`` run in slices.
+
+        The runner must not reference itself: that closure cycle would
+        keep a closed session's plan and arena alive until a GC pass.
+        """
         if self._tiler is not None:
-            return _tiled(self._tiler.wrap(self._forward), None, x,
-                          self.config.microbatch)
-        return _tiled(self._forward, self._postprocess, x,
-                      self.config.microbatch)
+            forward = self._tiler.wrap(forward)
+        post = self._postprocess if decode else None
+        microbatch = self.config.microbatch
+
+        def run_slice(x: np.ndarray) -> np.ndarray:
+            raw = forward(x)
+            return raw if post is None else post(raw)
+
+        def runner(x: np.ndarray) -> np.ndarray:
+            n = x.shape[0]
+            if microbatch and n > microbatch:
+                return np.concatenate([
+                    run_slice(x[i : i + microbatch])
+                    for i in range(0, n, microbatch)
+                ], axis=0)
+            return run_slice(x)
+
+        return runner
 
     def run(self, batch: np.ndarray) -> np.ndarray:
         """Synchronous inference on ``(N, C, H, W)`` images (a single
@@ -340,7 +343,7 @@ class Session:
         with obs.request_scope(prefix="run", backend=self.backend), \
                 obs.span("runtime/run", session=self.name,
                          backend=self.backend, batch=x.shape[0]):
-            out = self._run_batch(x)
+            out = self._runner(x)
         return out[0] if single else out
 
     def stream(self, frames, preprocess=None) -> list:
@@ -357,18 +360,14 @@ class Session:
 
         from ..nn.engine import ThreadedPipeline
 
-        if self._tiler is not None:
-            dnn = self._tiler.wrap(self._forward)
-            post = None
-        else:
-            dnn, post = self._forward, self._postprocess
+        dnn = self._compose(self._forward, decode=False)
+        post = self._postprocess
         pipe = ThreadedPipeline([
             ("fetch", lambda f: np.asarray(f, dtype=np.float32)),
             ("pre-process",
              preprocess if preprocess is not None else (lambda f: f)),
             ("dnn", lambda f: dnn(f if f.ndim == 4 else f[None])),
-            ("post-process",
-             (lambda raw: post(raw)) if post is not None else (lambda r: r)),
+            ("post-process", post if post is not None else (lambda r: r)),
         ])
         outputs = pipe.run(frames)
         self.last_pipeline = pipe
@@ -379,16 +378,10 @@ class Session:
     # ------------------------------------------------------------------ #
     def runner_for_thread(self):
         """A batch-runner callable safe to own by one worker thread."""
-        fn = self._clone_forward()
-        if self._tiler is not None:
-            fn, post = self._tiler.wrap(fn), None
-        else:
-            post = self._postprocess
-        microbatch = self.config.microbatch
-
-        def runner(x: np.ndarray) -> np.ndarray:
-            return _tiled(fn, post, x, microbatch)
-
+        forward = self._forward
+        if self.backend != "eager":
+            forward = forward.clone_for_thread()
+        runner = self._compose(forward)
         if self._warmup_shape is not None:
             # Pool the fresh clone's arena at the steady-state serving
             # batch shape before any real request reaches it.
@@ -404,17 +397,7 @@ class Session:
         path (eager backend, or a directly-loaded ``CompiledNet``)."""
         if self._eager_forward is None:
             return None
-        fn = self._eager_forward
-        if self._tiler is not None:
-            fn, post = self._tiler.wrap(fn), None
-        else:
-            post = self._postprocess
-        microbatch = self.config.microbatch
-
-        def runner(x: np.ndarray) -> np.ndarray:
-            return _tiled(fn, post, x, microbatch)
-
-        return runner
+        return self._compose(self._eager_forward)
 
     @property
     def server(self):
@@ -515,16 +498,3 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Session({self.name}, backend={self.backend!r}, "
                 f"serving={self._server is not None})")
-
-
-def _tiled(forward, postprocess, x: np.ndarray, microbatch: int) -> np.ndarray:
-    """Apply ``forward`` (+ ``postprocess``) in microbatch tiles."""
-    n = x.shape[0]
-    if microbatch and n > microbatch:
-        outs = []
-        for i in range(0, n, microbatch):
-            raw = forward(x[i : i + microbatch])
-            outs.append(raw if postprocess is None else postprocess(raw))
-        return np.concatenate(outs, axis=0)
-    raw = forward(x)
-    return raw if postprocess is None else postprocess(raw)

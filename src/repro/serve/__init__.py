@@ -24,7 +24,7 @@ from .result import (
     STATUS_TIMEOUT,
     ServeResult,
 )
-from .server import InferenceServer, ServerStats
+from .server import InferenceServer
 from .stream import (
     BrownoutController,
     CallbackSink,
@@ -34,7 +34,6 @@ from .stream import (
     NullSink,
     Stream,
     StreamManager,
-    StreamStats,
     SyntheticSource,
     TrackState,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ProcessPool",
     "ProcWorkerDied",
     "ProcWorkerError",
-    "ServerStats",
     "ServeResult",
     "STATUS_ERROR",
     "STATUS_OK",
@@ -59,7 +57,6 @@ __all__ = [
     "STATUS_TIMEOUT",
     "Stream",
     "StreamManager",
-    "StreamStats",
     "SyntheticSource",
     "TrackState",
     "WorkerSpec",

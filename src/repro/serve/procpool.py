@@ -367,8 +367,8 @@ class ProcessPool:
         self._runners: list[_ProcRunner] = []
         self._next_index = 0
         self._closed = False
-        self.respawns = 0
-        self.spawned = 0
+        self.counters = obs.CounterSet("spawned", "respawns")
+        obs.attach_counters("procpool", self.counters)
 
     def runner_factory(self) -> _ProcRunner:
         """One runner per server worker thread (child spawns lazily)."""
@@ -389,14 +389,11 @@ class ProcessPool:
             self._next_index += 1
         if dead is not None:
             dead.close(kill=True)
-            with self._lock:
-                self.respawns += 1
-            obs.inc("serve/proc_respawn")
+            self.counters.add("respawns")
             obs.event("serve/proc_respawn", pool=self.spec.name,
                       worker=dead.index)
         worker = _ProcWorker(self._spec_blob, self.spec.name, index)
-        with self._lock:
-            self.spawned += 1
+        self.counters.add("spawned")
         self._worker_of(runner, worker)
         return worker
 
@@ -405,17 +402,16 @@ class ProcessPool:
         runner._worker = worker
 
     def stats(self) -> dict:
+        """Worker liveness plus the pool's ``spawned``/``respawns``
+        counts (exported as ``procpool/<name>``)."""
         with self._lock:
             alive = sum(
                 1 for r in self._runners
                 if r._worker is not None and r._worker.alive
             )
-            return {
-                "workers": len(self._runners),
-                "alive": alive,
-                "spawned": self.spawned,
-                "respawns": self.respawns,
-            }
+            workers = len(self._runners)
+        return {"workers": workers, "alive": alive,
+                **self.counters.counts()}
 
     def close(self) -> None:
         with self._lock:

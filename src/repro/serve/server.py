@@ -38,11 +38,19 @@ it):
 
 Each worker owns its runners (for compiled plans: a
 :meth:`~repro.nn.engine.CompiledNet.clone_for_thread` clone), so buffer
-arenas are never shared across threads.  Everything is observable
-through :mod:`repro.obs`: ``serve/queue_depth`` gauge,
-``serve/batch_size`` histogram, ``serve/shed`` / ``serve/timeout`` /
-``serve/completed`` / ``serve/retries`` / ``serve/bisect`` /
-``serve/worker_respawn`` / ``serve/breaker_*`` counters, a
+arenas are never shared across threads.
+
+Every event the server counts lives in one always-on
+:class:`~repro.obs.CounterSet`, ``InferenceServer.stats``.
+:meth:`~InferenceServer.health` reads it, and a recorder installed when
+the server starts exports each key as ``serve/<key>``:
+``serve/submitted``, ``serve/completed``, ``serve/shed``,
+``serve/timeouts``, ``serve/errors``, ``serve/batches``,
+``serve/batched_requests``, ``serve/retries``, ``serve/bisections``,
+``serve/respawns``, ``serve/requeued`` and ``serve/fallback_batches``.
+The rest of the telemetry goes through :mod:`repro.obs` while
+recording: the ``serve/queue_depth`` gauge, the ``serve/batch_size``
+histogram, the circuit breaker's ``serve/breaker_*`` counters, a
 ``serve/queue_wait`` span per dequeued request, a ``serve/batch`` span
 per forward, and a ``serve/worker_respawn`` instant event per watchdog
 revival.  Every request is minted a
@@ -76,73 +84,26 @@ from .result import (
     ServeResult,
 )
 
-__all__ = ["InferenceServer", "ServerStats"]
+__all__ = ["InferenceServer"]
+
+#: Every event a server counts.  ``submitted`` counts every submit()
+#: call, shed and shutdown included; ``batched_requests`` sums the sizes
+#: of resolved batches (for ``mean_batch_size``).
+_SERVE_COUNTERS = (
+    "submitted", "completed", "shed", "timeouts", "errors", "batches",
+    "batched_requests", "retries", "bisections", "respawns", "requeued",
+    "fallback_batches",
+)
 
 
-class ServerStats:
-    """Thread-safe request accounting for one server.
+def _mean_batch_size(counts: dict) -> dict:
+    batches = counts["batches"]
+    return {"mean_batch_size": (counts["batched_requests"] / batches
+                                if batches else 0.0)}
 
-    Counters that move together (a resolved batch bumps ``completed``,
-    ``batches`` and ``batched_requests`` at once) must be written
-    through one :meth:`add_many` call — three separate :meth:`add` calls
-    would let a concurrent :meth:`snapshot` observe a *torn* state where
-    ``completed`` moved but ``batches`` has not, and a scrape during a
-    worker respawn would report an impossible mean batch size.
-    """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.shed = 0
-        self.timeouts = 0
-        self.errors = 0
-        self.batches = 0
-        self.batched_requests = 0  # completed + errored, for batch sizing
-        self.retries = 0
-        self.bisections = 0
-        self.respawns = 0
-        self.requeued = 0
-        self.fallback_batches = 0
-
-    def add(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
-
-    def add_many(self, **fields: int) -> None:
-        """Bump several counters atomically (one lock acquisition)."""
-        with self._lock:
-            for field, amount in fields.items():
-                setattr(self, field, getattr(self, field) + amount)
-
-    def mean_batch_size(self) -> float:
-        with self._lock:
-            return self.batched_requests / self.batches if self.batches else 0.0
-
-    def snapshot(self) -> dict:
-        """A consistent point-in-time copy of every counter, stamped
-        with the monotonic clock (``ts_monotonic``) so scrape consumers
-        can order snapshots without trusting wall time."""
-        with self._lock:
-            return {
-                "ts_monotonic": time.monotonic(),
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "shed": self.shed,
-                "timeouts": self.timeouts,
-                "errors": self.errors,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "retries": self.retries,
-                "bisections": self.bisections,
-                "respawns": self.respawns,
-                "requeued": self.requeued,
-                "fallback_batches": self.fallback_batches,
-                "mean_batch_size": (
-                    self.batched_requests / self.batches if self.batches
-                    else 0.0
-                ),
-            }
+def _server_counters() -> obs.CounterSet:
+    return obs.CounterSet(*_SERVE_COUNTERS, derive=_mean_batch_size)
 
 
 class _Request:
@@ -162,16 +123,14 @@ class _Request:
     def request_id(self) -> str | None:
         return None if self.ctx is None else self.ctx.request_id
 
-
-class _WorkerRunners:
-    """Per-worker-thread runner pair, created lazily so a respawned
-    worker rebuilds its own engine clone."""
-
-    __slots__ = ("primary", "fallback")
-
-    def __init__(self) -> None:
-        self.primary = None
-        self.fallback = None
+    def resolve(self, status: str, done: float | None = None,
+                **fields) -> None:
+        """Resolve with a ``status`` result; ``done`` (a perf_counter
+        stamp) sets its latency since submit."""
+        if done is not None:
+            fields["latency_ms"] = (done - self.submitted_at) * 1e3
+        _resolve(self.future,
+                 ServeResult(status, request_id=self.request_id, **fields))
 
 
 class InferenceServer:
@@ -208,7 +167,8 @@ class InferenceServer:
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         self.name = name
-        self.stats = ServerStats()
+        self.stats = _server_counters()
+        obs.attach_counters("serve", self.stats)
         self._runner_factory = runner_factory
         self._fallback_factory = fallback_factory
         self.breaker: CircuitBreaker | None = None
@@ -281,12 +241,10 @@ class InferenceServer:
             self._queue.put_nowait(request)
         except queue.Full:
             self.stats.add("shed")
-            obs.inc("serve/shed")
             future.set_result(
                 ServeResult(STATUS_SHED, request_id=ctx.request_id)
             )
             return future
-        obs.inc("serve/requests")
         obs.set_gauge("serve/queue_depth", self._queue.qsize())
         return future
 
@@ -353,23 +311,15 @@ class InferenceServer:
             self._watchdog_thread.join()
         for t in self._workers:
             t.join()
-        for i, batch in enumerate(self._inflight):
-            self._inflight[i] = None
-            for request in batch or ():
-                _resolve(
-                    request.future,
-                    ServeResult(STATUS_SHUTDOWN,
-                                request_id=request.request_id),
-                )
+        stranded = [r for batch in self._inflight for r in batch or ()]
+        self._inflight[:] = [None] * len(self._inflight)
         while True:
             try:
-                request = self._queue.get_nowait()
+                stranded.append(self._queue.get_nowait())
             except queue.Empty:
                 break
-            _resolve(
-                request.future,
-                ServeResult(STATUS_SHUTDOWN, request_id=request.request_id),
-            )
+        for request in stranded:
+            request.resolve(STATUS_SHUTDOWN)
 
     def __enter__(self) -> "InferenceServer":
         return self
@@ -394,7 +344,7 @@ class InferenceServer:
         return thread
 
     def _worker(self, index: int) -> None:
-        runners = _WorkerRunners()
+        runners: dict[bool, object] = {}  # keyed by "is fallback"
         rng = np.random.default_rng(1000 + index)  # retry jitter
         while not self._stopping.is_set():
             try:
@@ -430,16 +380,8 @@ class InferenceServer:
                         requeued += 1
                     except queue.Full:
                         self.stats.add("shed")
-                        obs.inc("serve/shed")
-                        _resolve(
-                            request.future,
-                            ServeResult(STATUS_SHED,
-                                        request_id=request.request_id),
-                        )
+                        request.resolve(STATUS_SHED)
                 self.stats.add_many(respawns=1, requeued=requeued)
-                if requeued:
-                    obs.inc("serve/requeued", requeued)
-                obs.inc("serve/worker_respawn")
                 obs.event("serve/worker_respawn", server=self.name,
                           worker=i, requeued=requeued)
                 self._workers[i] = self._spawn(i)
@@ -479,7 +421,7 @@ class InferenceServer:
         return batch
 
     def _run_batch(
-        self, runners: _WorkerRunners, batch: list[_Request], worker: int,
+        self, runners: dict, batch: list[_Request], worker: int,
         rng: np.random.Generator,
     ) -> None:
         now = time.perf_counter()
@@ -497,15 +439,7 @@ class InferenceServer:
                     )
             if request.deadline_at is not None and now > request.deadline_at:
                 self.stats.add("timeouts")
-                obs.inc("serve/timeout")
-                _resolve(
-                    request.future,
-                    ServeResult(
-                        STATUS_TIMEOUT,
-                        latency_ms=(now - request.submitted_at) * 1e3,
-                        request_id=request.request_id,
-                    ),
-                )
+                request.resolve(STATUS_TIMEOUT, now)
             else:
                 live.append(request)
         obs.set_gauge("serve/queue_depth", self._queue.qsize())
@@ -513,17 +447,8 @@ class InferenceServer:
             return
         self._execute(runners, live, worker, rng)
 
-    def _get_runner(self, runners: _WorkerRunners, fallback: bool):
-        if fallback:
-            if runners.fallback is None:
-                runners.fallback = self._fallback_factory()
-            return runners.fallback
-        if runners.primary is None:
-            runners.primary = self._runner_factory()
-        return runners.primary
-
     def _execute(
-        self, runners: _WorkerRunners, live: list[_Request], worker: int,
+        self, runners: dict, live: list[_Request], worker: int,
         rng: np.random.Generator,
     ) -> None:
         """Run ``live`` with the full recovery ladder: retry with
@@ -538,7 +463,13 @@ class InferenceServer:
             on_fallback = (self.breaker is not None
                            and not self.breaker.allow_primary())
             try:
-                runner = self._get_runner(runners, on_fallback)
+                # Built on first use, so a respawned worker rebuilds
+                # its own engine clone.
+                runner = runners.get(on_fallback)
+                if runner is None:
+                    runner = runners[on_fallback] = (
+                        self._fallback_factory if on_fallback
+                        else self._runner_factory)()
                 spec = faults.trigger("serve.runner")
                 if spec is not None and spec.kind == "crash":
                     raise faults.InjectedFault("injected runner crash")
@@ -567,7 +498,6 @@ class InferenceServer:
                     delay = self._retry.delay_ms(attempt, rng)
                     attempt += 1
                     self.stats.add("retries")
-                    obs.inc("serve/retries")
                     if delay:
                         time.sleep(delay / 1e3)
                     continue
@@ -576,7 +506,6 @@ class InferenceServer:
                 self.breaker.record_success()
             if on_fallback:
                 self.stats.add("fallback_batches")
-                obs.inc("serve/fallback_batches")
             self._resolve_ok(live, out)
             return
 
@@ -585,24 +514,15 @@ class InferenceServer:
         # the healthy batchmates still get answers.
         if len(live) > 1 and self.config.bisect_failed_batches:
             self.stats.add("bisections")
-            obs.inc("serve/bisect")
             mid = len(live) // 2
             self._execute(runners, live[:mid], worker, rng)
             self._execute(runners, live[mid:], worker, rng)
             return
         self.stats.add("errors", len(live))
-        obs.inc("serve/errors", len(live))
         done = time.perf_counter()
         for request in live:
-            _resolve(
-                request.future,
-                ServeResult(
-                    STATUS_ERROR, error=last_error,
-                    latency_ms=(done - request.submitted_at) * 1e3,
-                    batch_size=len(live),
-                    request_id=request.request_id,
-                ),
-            )
+            request.resolve(STATUS_ERROR, done, error=last_error,
+                            batch_size=len(live))
 
     def _resolve_ok(self, live: list[_Request], out: np.ndarray) -> None:
         done = time.perf_counter()
@@ -611,18 +531,10 @@ class InferenceServer:
         self.stats.add_many(
             completed=len(live), batches=1, batched_requests=len(live),
         )
-        obs.inc("serve/completed", len(live))
         obs.observe("serve/batch_size", len(live))
         for i, request in enumerate(live):
-            _resolve(
-                request.future,
-                ServeResult(
-                    STATUS_OK, value=out[i],
-                    latency_ms=(done - request.submitted_at) * 1e3,
-                    batch_size=len(live),
-                    request_id=request.request_id,
-                ),
-            )
+            request.resolve(STATUS_OK, done, value=out[i],
+                            batch_size=len(live))
 
 
 def _resolve(future: Future, result: ServeResult) -> None:

@@ -39,10 +39,13 @@ contract made explicit and testable:
 
 Fault sites ``stream.source`` / ``stream.queue`` / ``stream.worker`` /
 ``stream.sink`` (see :mod:`repro.resilience.faults`) make all of this
-deterministically testable.  Observability: per-stream
-``stream/<id>/depth`` and ``stream/<id>/drop_ratio`` gauges, the
-``stream/e2e_ms`` latency histogram, the ``stream/brownout_level``
-gauge, and counters for every drop class and restart.
+deterministically testable.  Observability: each stream counts its
+frames, drops, sink events and restarts in one always-on
+:class:`~repro.obs.CounterSet` that :meth:`StreamManager.health` reads
+and a recorder exports as ``stream/<id>/<name>``; while recording there
+are also per-stream ``stream/<id>/depth`` and ``stream/<id>/drop_ratio``
+gauges, the ``stream/e2e_ms`` latency histogram, the
+``stream/brownout_level`` gauge and brownout escalate/recover counters.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ __all__ = [
     "NullSink",
     "Stream",
     "StreamManager",
-    "StreamStats",
     "SyntheticSource",
     "TrackState",
 ]
@@ -87,77 +89,38 @@ DROP_FIELDS = (
 )
 
 
-class StreamStats:
-    """Thread-safe frame accounting for one stream.
+#: Every event a stream counts.
+_STREAM_COUNTERS = (
+    "produced", "accepted", "processed", "requeued", "sink_events",
+    "sink_errors", "worker_restarts", "producer_restarts",
+) + DROP_FIELDS
 
-    The load-bearing invariant — checked by :meth:`accounted` and the
-    perf gate — is that acceptance is *conserved*::
 
-        accepted == processed + sum(dropped_*)
+def _dropped_by_policy(counts: dict) -> dict:
+    return {"dropped_by_policy": sum(counts[f] for f in DROP_FIELDS)}
 
-    Producer, worker, and supervisor all write through one lock, and
-    multi-counter updates go through :meth:`add_many` so a concurrent
-    snapshot can never observe a torn state where a frame is neither
-    processed nor dropped.
-    """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.produced = 0
-        self.accepted = 0
-        self.processed = 0
-        self.requeued = 0
-        self.sink_events = 0
-        self.sink_errors = 0
-        self.worker_restarts = 0
-        self.producer_restarts = 0
-        #: Longest single ``FrameQueue.put`` call (producer-block bound).
-        self.put_block_ns_max = 0
-        for field in DROP_FIELDS:
-            setattr(self, field, 0)
+def _stream_counters() -> obs.CounterSet:
+    """One stream's frame accounting.  The load-bearing invariant —
+    checked by :func:`_accounted` and the perf gate — is that acceptance
+    is *conserved*: ``accepted == processed + dropped_by_policy``, never
+    torn because multi-counter updates go through one ``add_many``."""
+    return obs.CounterSet(*_STREAM_COUNTERS, derive=_dropped_by_policy)
 
-    def add(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
 
-    def add_many(self, **fields: int) -> None:
-        with self._lock:
-            for field, amount in fields.items():
-                setattr(self, field, getattr(self, field) + amount)
+def _accounted(snap: dict) -> bool:
+    """Does ``accepted == processed + dropped_by_policy`` hold?"""
+    return snap["accepted"] == snap["processed"] + snap["dropped_by_policy"]
 
-    def observe_put_block(self, ns: int) -> None:
-        with self._lock:
-            if ns > self.put_block_ns_max:
-                self.put_block_ns_max = ns
 
-    @property
-    def dropped_by_policy(self) -> int:
-        with self._lock:
-            return sum(getattr(self, f) for f in DROP_FIELDS)
-
-    def accounted(self) -> bool:
-        """Does ``accepted == processed + dropped_by_policy`` hold?"""
-        snap = self.snapshot()
-        return snap["accepted"] == snap["processed"] + snap["dropped_by_policy"]
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            snap = {
-                "produced": self.produced,
-                "accepted": self.accepted,
-                "processed": self.processed,
-                "requeued": self.requeued,
-                "sink_events": self.sink_events,
-                "sink_errors": self.sink_errors,
-                "worker_restarts": self.worker_restarts,
-                "producer_restarts": self.producer_restarts,
-                "put_block_ms_max": self.put_block_ns_max / 1e6,
-            }
-            snap.update({f: getattr(self, f) for f in DROP_FIELDS})
-            snap["dropped_by_policy"] = sum(
-                getattr(self, f) for f in DROP_FIELDS
-            )
-            return snap
+def _fault_site(site: str, what: str, stream_id: str,
+                crash=faults.InjectedFault) -> None:
+    """Fire an armed ``crash`` (raise) or ``stall`` (sleep) at ``site``."""
+    spec = faults.trigger(site)
+    if spec is not None and spec.kind == "crash":
+        raise crash(f"injected {what} ({stream_id})")
+    if spec is not None and spec.kind == "stall":
+        time.sleep(spec.delay_s)
 
 
 class _Frame:
@@ -183,13 +146,15 @@ class FrameQueue:
     newest frame most and the stale ones least.
     """
 
-    def __init__(self, capacity: int, stats: StreamStats,
+    def __init__(self, capacity: int, stats: obs.CounterSet,
                  stream_id: str = "stream") -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.stream_id = stream_id
         self.stats = stats
+        #: Longest single :meth:`put` call (producer-block bound).
+        self.put_block_ns_max = 0
         self._items: deque[_Frame] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -200,13 +165,7 @@ class FrameQueue:
 
     def put(self, frame: _Frame) -> None:
         """Accept ``frame``, evicting the oldest if at capacity."""
-        spec = faults.trigger("stream.queue")
-        if spec is not None and spec.kind == "crash":
-            raise faults.InjectedFault(
-                f"injected queue fault ({self.stream_id})"
-            )
-        if spec is not None and spec.kind == "stall":
-            time.sleep(spec.delay_s)
+        _fault_site("stream.queue", "queue fault", self.stream_id)
         t0 = time.perf_counter_ns()
         with self._not_empty:
             evicted = None
@@ -219,9 +178,10 @@ class FrameQueue:
                 self.stats.add_many(produced=1, accepted=1,
                                     dropped_backpressure=1)
             self._not_empty.notify()
-        self.stats.observe_put_block(time.perf_counter_ns() - t0)
-        if evicted is not None:
-            obs.inc("stream/dropped_backpressure")
+        blocked = time.perf_counter_ns() - t0
+        with self._lock:
+            if blocked > self.put_block_ns_max:
+                self.put_block_ns_max = blocked
 
     def requeue(self, frame: _Frame) -> None:
         """Put a crashed worker's in-hand frame back at the head.
@@ -566,7 +526,8 @@ class Stream:
         self.stream_id = stream_id
         self.source = source
         self.sink = sink
-        self.stats = StreamStats()
+        self.stats = _stream_counters()
+        obs.attach_counters(f"stream/{stream_id}", self.stats)
         self.queue = FrameQueue(queue_depth, self.stats, stream_id)
         self.tracker = TrackState(iou_threshold, smooth)
         self.source_done = threading.Event()
@@ -581,6 +542,7 @@ class Stream:
 
     def snapshot(self) -> dict:
         snap = self.stats.snapshot()
+        snap["put_block_ms_max"] = self.queue.put_block_ns_max / 1e6
         snap["stream"] = self.stream_id
         snap["queue_depth"] = len(self.queue)
         snap["source_done"] = self.source_done.is_set()
@@ -700,8 +662,8 @@ class StreamManager:
             return self
         self._started = True
         for stream in self.streams:
-            stream.producer = self._spawn_producer(stream)
-            stream.worker = self._spawn_worker(stream)
+            stream.producer = self._spawn(stream, "producer")
+            stream.worker = self._spawn(stream, "worker")
         self._supervisor = threading.Thread(
             target=self._supervise, daemon=True,
             name=f"stream-{self.name}-supervisor",
@@ -716,7 +678,7 @@ class StreamManager:
         while time.perf_counter() < deadline:
             if all(
                 s.source_done.is_set() and len(s.queue) == 0
-                and s.inhand is None and s.stats.accounted()
+                and s.inhand is None and _accounted(s.stats.snapshot())
                 for s in self.streams
             ):
                 return True
@@ -741,7 +703,6 @@ class StreamManager:
                 stream.inhand = None
             if leftovers:
                 stream.stats.add("dropped_shutdown", len(leftovers))
-                obs.inc("stream/dropped_shutdown", len(leftovers))
             stream.sink.close()
 
     def __enter__(self) -> "StreamManager":
@@ -763,10 +724,7 @@ class StreamManager:
             snap = stream.stats.snapshot()
             for key in totals:
                 totals[key] += snap[key]
-            exact = exact and (
-                snap["accepted"]
-                == snap["processed"] + snap["dropped_by_policy"]
-            )
+            exact = exact and _accounted(snap)
         totals["exact"] = exact
         totals["drop_ratio"] = (
             totals["dropped_by_policy"] / totals["accepted"]
@@ -804,32 +762,18 @@ class StreamManager:
     # ------------------------------------------------------------------ #
     # threads
     # ------------------------------------------------------------------ #
-    def _spawn_producer(self, stream: Stream) -> threading.Thread:
-        thread = threading.Thread(
-            target=self._producer_loop, args=(stream,), daemon=True,
-            name=f"stream-{stream.stream_id}-producer",
-        )
-        thread.start()
-        return thread
-
-    def _spawn_worker(self, stream: Stream) -> threading.Thread:
-        thread = threading.Thread(
-            target=self._worker_loop, args=(stream,), daemon=True,
-            name=f"stream-{stream.stream_id}-worker",
-        )
+    def _spawn(self, stream: Stream, role: str) -> threading.Thread:
+        """Start ``stream``'s ``"producer"`` or ``"worker"`` thread."""
+        loop = self._producer_loop if role == "producer" else self._worker_loop
+        thread = threading.Thread(target=loop, args=(stream,), daemon=True,
+                                  name=f"stream-{stream.stream_id}-{role}")
         thread.start()
         return thread
 
     def _producer_loop(self, stream: Stream) -> None:
         """The camera side: pull frames, never wait for anyone."""
         while not self._stopping.is_set():
-            spec = faults.trigger("stream.source")
-            if spec is not None and spec.kind == "crash":
-                raise faults.InjectedFault(
-                    f"injected source crash ({stream.stream_id})"
-                )
-            if spec is not None and spec.kind == "stall":
-                time.sleep(spec.delay_s)
+            _fault_site("stream.source", "source crash", stream.stream_id)
             try:
                 image = next(stream._frames)
             except StopIteration:
@@ -849,20 +793,14 @@ class StreamManager:
             if frame is None:
                 continue
             stream.inhand = frame
-            spec = faults.trigger("stream.worker")
-            if spec is not None and spec.kind == "crash":
-                # Die holding the frame: the supervisor requeues it and
-                # restarts us — accounting must still balance.
-                raise faults.WorkerCrash(
-                    f"injected stream-worker crash ({stream.stream_id})"
-                )
-            if spec is not None and spec.kind == "stall":
-                time.sleep(spec.delay_s)
+            # A crash dies holding the frame: the supervisor requeues
+            # it and restarts us — accounting must still balance.
+            _fault_site("stream.worker", "stream-worker crash",
+                        stream.stream_id, crash=faults.WorkerCrash)
             stride = (1 if self.controller is None
                       else self.controller.stride)
             if stride > 1 and frame.seq % stride:
                 stream.stats.add("dropped_stride")
-                obs.inc("stream/dropped_stride")
                 stream.inhand = None
                 continue
             try:
@@ -873,16 +811,13 @@ class StreamManager:
                 # The engine pool broke its own "always resolve"
                 # contract (or timed out); the frame is still accounted.
                 stream.stats.add("dropped_rejected")
-                obs.inc("stream/dropped_rejected")
                 stream.inhand = None
                 continue
             if result.ok:
                 self._deliver(stream, frame, result)
                 stream.stats.add("processed")
-                obs.inc("stream/processed")
             else:
                 stream.stats.add("dropped_rejected")
-                obs.inc("stream/dropped_rejected")
             stream.inhand = None
 
     def _deliver(self, stream: Stream, frame: _Frame, result) -> None:
@@ -904,21 +839,13 @@ class StreamManager:
                          track_age=stream.tracker.age,
                          box=[round(float(v), 5) for v in box])
         try:
-            spec = faults.trigger("stream.sink")
-            if spec is not None and spec.kind == "crash":
-                raise faults.InjectedFault(
-                    f"injected sink crash ({stream.stream_id})"
-                )
-            if spec is not None and spec.kind == "stall":
-                time.sleep(spec.delay_s)
+            _fault_site("stream.sink", "sink crash", stream.stream_id)
             stream.sink.publish(event)
         except Exception:
             # A broken consumer costs the event, never the frame.
             stream.stats.add("sink_errors")
-            obs.inc("stream/sink_errors")
         else:
             stream.stats.add("sink_events")
-            obs.inc("stream/sink_events")
 
     # ------------------------------------------------------------------ #
     # supervisor: watchdog + brownout ticks + gauges
@@ -943,20 +870,18 @@ class StreamManager:
                 if frame is not None:
                     stream.queue.requeue(frame)
                 stream.stats.add("worker_restarts")
-                obs.inc("stream/worker_restarts")
                 obs.event("stream/worker_restart",
                           stream=stream.stream_id,
                           requeued=int(frame is not None),
                           track_id=stream.tracker.track_id)
-                stream.worker = self._spawn_worker(stream)
+                stream.worker = self._spawn(stream, "worker")
             producer = stream.producer
             if (producer is not None and not producer.is_alive()
                     and not stream.source_done.is_set()):
                 stream.stats.add("producer_restarts")
-                obs.inc("stream/producer_restarts")
                 obs.event("stream/producer_restart",
                           stream=stream.stream_id)
-                stream.producer = self._spawn_producer(stream)
+                stream.producer = self._spawn(stream, "producer")
 
     def _pressure(self) -> float:
         """Queue fullness in [0, 1]: the max of the mean per-stream

@@ -144,26 +144,10 @@ class SiamFCTracker:
         scales: tuple[float, ...] = (0.96, 1.0, 1.04),
         window_influence: float = 0.35,
         scale_lr: float = 0.4,
-        engine: str | None = None,
         config=None,
     ) -> None:
         from ..runtime import SessionConfig
-        from ..utils.deprecation import warn_once
 
-        if engine is not None:
-            if engine not in ("eager", "compiled"):
-                raise ValueError(f"unknown engine {engine!r}")
-            warn_once(
-                "SiamFCTracker.engine",
-                "SiamFCTracker(engine=...) is deprecated; pass "
-                "config=SessionConfig(backend='engine'|'eager') instead",
-            )
-            if config is not None:
-                raise TypeError("pass either config= or engine=, not both")
-            config = SessionConfig(
-                backend="engine" if engine == "compiled" else "eager",
-                fallback=engine == "eager",
-            )
         # Trackers default to the eager path: feature extraction runs on
         # two crop geometries and frame-rate batches of one, where the
         # compile step only pays off over long sequences.

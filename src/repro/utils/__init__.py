@@ -1,8 +1,7 @@
-"""Shared utilities: deterministic RNG, table formatting, deprecations."""
+"""Shared utilities: deterministic RNG and table formatting."""
 
-from .deprecation import reset_warned, warn_once
 from .rng import default_rng, seed_all, spawn
 from .tables import format_table, print_table
 
 __all__ = ["default_rng", "seed_all", "spawn", "format_table",
-           "print_table", "reset_warned", "warn_once"]
+           "print_table"]

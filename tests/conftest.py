@@ -41,3 +41,9 @@ def numerical_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         x[idx] = orig
         grad[idx] = (fp - fm) / (2 * eps)
     return grad
+
+
+def exported_counters(recorder) -> dict:
+    """``{name: value}`` of every counter record ``recorder`` exports."""
+    return {rec["name"]: rec["value"] for rec in recorder.metrics.records()
+            if rec["type"] == "counter"}

@@ -15,6 +15,7 @@ from repro.nn.engine import (
     compile_net,
 )
 from repro.nn.layers import BatchNorm2d, Conv2d, ReLU6
+from repro.runtime import SessionConfig
 
 
 def _randomize_bn_stats(model, rng) -> None:
@@ -428,24 +429,11 @@ class TestIntegration:
         det.eval()
         images = rng.normal(0, 1, (3, 3, 16, 32)).astype(np.float32)
         np.testing.assert_allclose(
-            det.predict(images, engine="compiled"),
-            det.predict(images, engine="eager"),
+            det.predict(images, config=SessionConfig(backend="engine",
+                                                     fallback=False)),
+            det.predict(images, config=SessionConfig(backend="eager")),
             atol=1e-4,
         )
-
-    def test_detector_compile_cache_invalidated_by_train(self, rng):
-        det = Detector(SkyNetBackbone("A", width_mult=0.25, rng=rng))
-        det.eval()
-        first = det.compile()
-        assert det.compile() is first  # cached
-        det.train()
-        det.eval()
-        assert det.compile() is not first  # recompiled after training
-
-    def test_detector_predict_rejects_unknown_engine(self, rng):
-        det = Detector(SkyNetBackbone("A", width_mult=0.25, rng=rng))
-        with pytest.raises(ValueError, match="unknown engine"):
-            det.predict(np.zeros((1, 3, 16, 32), np.float32), engine="tpu")
 
     def test_siamfc_tracker_engines_agree(self, rng):
         from repro.tracking.siamfc import SiamFC, SiamFCTracker
@@ -453,18 +441,19 @@ class TestIntegration:
         frame = rng.uniform(0, 1, (3, 64, 64)).astype(np.float32)
         box = np.array([0.5, 0.5, 0.3, 0.3])
         boxes = {}
-        for engine in ("eager", "compiled"):
+        for backend in ("eager", "engine"):
             model = SiamFC(
                 SkyNetBackbone("A", width_mult=0.25,
                                rng=np.random.default_rng(3)),
                 rng=np.random.default_rng(4),
             )
             model.eval()
-            tracker = SiamFCTracker(model, engine=engine)
+            tracker = SiamFCTracker(model, config=SessionConfig(
+                backend=backend, fallback=backend == "eager"))
             tracker.init(frame, box)
-            boxes[engine] = tracker.track(frame)
+            boxes[backend] = tracker.track(frame)
         np.testing.assert_allclose(
-            boxes["compiled"], boxes["eager"], atol=1e-4
+            boxes["engine"], boxes["eager"], atol=1e-4
         )
 
     def test_compile_extractor_matches_extract(self, rng):

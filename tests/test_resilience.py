@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -38,8 +37,9 @@ from repro.resilience import (
 )
 from repro.runtime import ServeConfig, Session
 from repro.serve import InferenceServer
-from repro.utils import reset_warned, warn_once
 from repro.utils.atomic import atomic_write_bytes, crc32_bytes, crc32_file
+
+from .conftest import exported_counters
 
 
 def _tiny_detector(rng) -> Detector:
@@ -521,8 +521,8 @@ class TestServingRecovery:
                 with faults.inject(plan):
                     result = server.submit(_images(rng, 1)).result(5.0)
                 assert result.ok
-                assert server.stats.retries == 1
-            assert rec.metrics.counter("serve/retries").value == 1
+                assert server.stats.snapshot()["retries"] == 1
+            assert exported_counters(rec)["serve/retries"] == 1
         assert plan.fired() == 1
 
     @pytest.mark.filterwarnings(
@@ -544,10 +544,10 @@ class TestServingRecovery:
                 assert [r.status for r in results] == ["ok"] * 12
                 for i, r in enumerate(results):
                     np.testing.assert_array_equal(r.value, images[i])
-                assert server.stats.respawns >= 1
+                assert server.stats.snapshot()["respawns"] >= 1
                 assert server.health()["status"] == "ok"
-            assert rec.metrics.counter("serve/worker_respawn").value >= 1
-            assert rec.metrics.counter("serve/requeued").value >= 1
+            assert exported_counters(rec)["serve/respawns"] >= 1
+            assert exported_counters(rec)["serve/requeued"] >= 1
         assert plan.fired() == 1
 
     def test_bisection_isolates_poison_request(self, rng):
@@ -575,8 +575,8 @@ class TestServingRecovery:
                 assert statuses[:3] == ["ok"] * 3
                 assert statuses[3] == "error"
                 assert "poison" in results[3].error
-                assert server.stats.bisections >= 1
-            assert rec.metrics.counter("serve/bisect").value >= 1
+                assert server.stats.snapshot()["bisections"] >= 1
+            assert exported_counters(rec)["serve/bisections"] >= 1
 
     def test_breaker_fails_over_then_recovers(self, rng):
         """K consecutive primary failures trip the breaker onto the
@@ -609,7 +609,7 @@ class TestServingRecovery:
                 result = server.submit(x).result(5.0)
                 assert result.ok
                 np.testing.assert_array_equal(result.value, x[0])
-                assert server.stats.fallback_batches >= 1
+                assert server.stats.snapshot()["fallback_batches"] >= 1
                 # Heal the primary; the half-open probe re-closes.
                 broken.clear()
                 time.sleep(0.05)
@@ -622,8 +622,7 @@ class TestServingRecovery:
                 assert server.health()["status"] == "ok"
             assert rec.metrics.counter("serve/breaker_open").value >= 1
             assert rec.metrics.counter("serve/breaker_closed").value >= 1
-            assert rec.metrics.counter(
-                "serve/fallback_batches").value >= 1
+            assert exported_counters(rec)["serve/fallback_batches"] >= 1
 
     def test_reject_nonfinite_output(self, rng):
         """NaN in runner output is a failure when reject_nonfinite is
@@ -637,7 +636,7 @@ class TestServingRecovery:
                 result = server.submit(_images(rng, 1)).result(5.0)
             assert result.ok
             assert np.all(np.isfinite(result.value))
-            assert server.stats.retries == 1
+            assert server.stats.snapshot()["retries"] == 1
 
     def test_stall_fault_delays_but_completes(self, rng):
         cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0, watchdog=False)
@@ -688,7 +687,7 @@ class TestServingRecovery:
             health = session.health()
             assert health["backend"] == "engine"
             assert health["breaker"]["state"] == OPEN
-            assert session.server.stats.fallback_batches >= 1
+            assert session.server.stats.snapshot()["fallback_batches"] >= 1
         finally:
             session.close()
         assert plan.fired() >= 1
@@ -703,7 +702,7 @@ class TestServingRecovery:
 
 
 # --------------------------------------------------------------------- #
-# satellites: serialization extension fix + warn_once thread safety
+# satellites: serialization extension fix
 # --------------------------------------------------------------------- #
 class TestSaveModelExtension:
     def test_roundtrip_without_npz_extension(self, tmp_path, rng):
@@ -720,29 +719,3 @@ class TestSaveModelExtension:
         det3 = _tiny_detector(np.random.default_rng(98))
         load_model(det3, path + ".npz")
         assert _states_equal(det.state_dict(), det3.state_dict())
-
-
-class TestWarnOnceThreadSafety:
-    def test_exactly_one_warning_across_threads(self):
-        reset_warned()
-        start = threading.Barrier(8)
-        caught: list = []
-        lock = threading.Lock()
-
-        def worker():
-            start.wait()
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                for _ in range(50):
-                    warn_once("resilience-test-key", "deprecated thing")
-            with lock:
-                caught.extend(seen)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        reset_warned()

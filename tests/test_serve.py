@@ -1,6 +1,5 @@
 """Tests for the serving stack: repro.runtime (Session/configs) and
-repro.serve (dynamic-batching server), plus the deprecation shims the
-Session API replaces."""
+repro.serve (dynamic-batching server)."""
 
 from __future__ import annotations
 
@@ -22,7 +21,8 @@ from repro.serve import (
     InferenceServer,
     ServeResult,
 )
-from repro.utils import reset_warned
+
+from .conftest import exported_counters
 
 
 def _tiny_detector(rng) -> Detector:
@@ -172,7 +172,7 @@ class TestBatching:
                 statuses = [f.result(timeout=5.0).status for f in rest]
         assert statuses == [STATUS_TIMEOUT] * 3
         assert server.stats.snapshot()["timeouts"] == 3
-        assert rec.metrics.counter("serve/timeout").value == 3
+        assert exported_counters(rec)["serve/timeouts"] == 3
 
     def test_full_queue_sheds_immediately(self):
         """Overflow submissions resolve 503 without blocking the caller."""
@@ -192,7 +192,7 @@ class TestBatching:
         assert len(shed) >= 8 and len(ok) >= 1
         assert all(r.code == 503 for r in shed)
         assert server.stats.snapshot()["shed"] == len(shed)
-        assert rec.metrics.counter("serve/shed").value == len(shed)
+        assert exported_counters(rec)["serve/shed"] == len(shed)
 
     def test_worker_survives_runner_exception(self):
         """With retries disabled (fail-fast config), a runner exception
@@ -402,6 +402,27 @@ class TestSession:
         det.eval()
         assert det.session() is not first  # invalidated
 
+    @pytest.mark.parametrize("microbatch", [0, 2])
+    def test_dropped_session_frees_its_plan_without_gc(self, rng,
+                                                       microbatch):
+        """A released session's compiled plan (and its pooled arena) is
+        freed by reference counting alone: no cycle through the composed
+        runner keeps it alive until the cyclic GC happens to run."""
+        import gc
+        import weakref
+
+        det = _tiny_detector(rng)
+        session = Session.load(det, SessionConfig(microbatch=microbatch),
+                               warmup=(4, 3, 16, 32))
+        plan = weakref.ref(session._forward)
+        gc.disable()
+        try:
+            session.close()
+            del session
+            assert plan() is None
+        finally:
+            gc.enable()
+
 
 # --------------------------------------------------------------------- #
 # the eager pin (quantization contexts vs cached compiled plans)
@@ -450,54 +471,6 @@ class TestEagerPin:
             fm_pred = det.predict(x)
         assert not np.allclose(fm_pred, float_pred, atol=1e-6)
         np.testing.assert_allclose(det.predict(x), float_pred, atol=1e-6)
-
-
-# --------------------------------------------------------------------- #
-# deprecation shims (old entrypoints forward + warn once)
-# --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_predict_engine_kwarg_warns_once_and_forwards(self, rng):
-        reset_warned()
-        det = _tiny_detector(rng)
-        x = _images(rng, 2)
-        with pytest.warns(DeprecationWarning, match="predict"):
-            old = det.predict(x, engine="compiled")
-        np.testing.assert_allclose(old, det.predict(x), atol=1e-6)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call must NOT warn
-            det.predict(x, engine="eager")
-
-    def test_predict_rejects_config_and_engine(self, rng):
-        reset_warned()
-        det = _tiny_detector(rng)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="not both"):
-                det.predict(_images(rng, 1), config=SessionConfig(),
-                            engine="eager")
-
-    def test_detector_compile_warns_and_still_runs(self, rng):
-        reset_warned()
-        det = _tiny_detector(rng)
-        with pytest.warns(DeprecationWarning, match="compile"):
-            net = det.compile()
-        x = _images(rng, 1)
-        assert net(x).ndim == 4  # raw grid predictions
-        assert det.predict(x).shape == (1, 4)
-
-    def test_siamfc_engine_kwarg_warns(self, rng):
-        from repro.tracking import SiamFC, SiamFCTracker
-
-        reset_warned()
-        model = SiamFC(SkyNetBackbone("C", width_mult=0.125, rng=rng),
-                       feat_ch=8, rng=rng)
-        model.eval()
-        with pytest.warns(DeprecationWarning, match="SiamFCTracker"):
-            tracker = SiamFCTracker(model, engine="eager")
-        assert tracker.config.backend == "eager"
-        with pytest.raises(ValueError, match="unknown engine"):
-            SiamFCTracker(model, engine="tpu")
 
 
 # --------------------------------------------------------------------- #

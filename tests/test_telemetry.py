@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -31,7 +32,8 @@ from repro.obs.export import (
 from repro.obs.metrics import Histogram
 from repro.resilience import FaultPlan, FaultSpec, faults
 from repro.runtime import ServeConfig, Session, SessionConfig
-from repro.serve import InferenceServer, ServerStats
+from repro.serve import InferenceServer
+from repro.serve.server import _server_counters
 
 
 def _images(rng, n: int) -> np.ndarray:
@@ -159,7 +161,7 @@ class TestBoundedHistogram:
 
 
 # --------------------------------------------------------------------- #
-# ServerStats consistency (satellite: no torn counters)
+# server counter consistency (satellite: no torn counters)
 # --------------------------------------------------------------------- #
 class TestServerStatsConsistency:
     def test_add_many_is_atomic_under_hammer(self):
@@ -167,7 +169,7 @@ class TestServerStatsConsistency:
         snapshot(): every snapshot must see the invariant
         ``completed == batched_requests == K * batches`` — a torn read
         would break it."""
-        stats = ServerStats()
+        stats = _server_counters()
         K = 4
         stop = threading.Event()
         torn = []
@@ -191,12 +193,12 @@ class TestServerStatsConsistency:
         assert stats.snapshot()["batches"] == 3000
 
     def test_snapshot_timestamps_are_monotonic(self):
-        stats = ServerStats()
+        stats = _server_counters()
         ts = [stats.snapshot()["ts_monotonic"] for _ in range(10)]
         assert ts == sorted(ts)
 
     def test_snapshot_includes_mean_batch_size(self):
-        stats = ServerStats()
+        stats = _server_counters()
         stats.add_many(completed=6, batches=2, batched_requests=6)
         snap = stats.snapshot()
         assert snap["mean_batch_size"] == 3.0
@@ -266,6 +268,82 @@ class TestPrometheusText:
             obs.inc("weird/name-with.dots")
         text = prometheus_text(rec.metrics.records())
         assert "repro_weird_name_with_dots_total" in text
+
+
+def _scraped_counters(text: str, prefix: str) -> dict:
+    """``{key: value}`` of the ``repro_<prefix>_<key>_total`` counters
+    in a Prometheus exposition."""
+    head = f"repro_{prefix}_"
+    out = {}
+    for line in text.splitlines():
+        if line.startswith(head) and " " in line:
+            name, value = line.split(" ")
+            if name.endswith("_total"):
+                out[name[len(head):-len("_total")]] = float(value)
+    return out
+
+
+class TestScrapeEqualsHealth:
+    """``health()``, the Prometheus scrape and JSONL snapshots read one
+    counter set per component, so they can never disagree."""
+
+    def test_serve_and_stream_counters_match_health(self, tmp_path):
+        from repro.runtime import StreamConfig
+        from repro.serve import StreamManager, SyntheticSource
+
+        def slow_factory():
+            def runner(x):
+                time.sleep(0.002)
+                return np.tile([0.5, 0.5, 0.2, 0.2], (x.shape[0], 1))
+
+            return runner
+
+        with obs.recording() as rec:
+            server = InferenceServer(slow_factory, ServeConfig(
+                queue_depth=4, max_batch_size=2, max_wait_ms=1.0))
+            manager = StreamManager(
+                server,
+                [SyntheticSource(frames=40, image_hw=(16, 32), seed=i)
+                 for i in range(2)],
+                config=StreamConfig(queue_depth=2, brownout=False),
+            ).start()
+            assert manager.join(timeout=30.0)
+            # Overflow the tiny server queue directly so "shed" moves too.
+            futures = [server.submit(np.zeros((1, 4, 4), np.float32))
+                       for _ in range(12)]
+            for future in futures:
+                future.result(timeout=10.0)
+            manager.stop()
+            server.stop()
+            text = prometheus_text(rec.metrics.records())
+            snapshot_path = str(tmp_path / "snap.jsonl")
+            MetricsSnapshotter(rec.metrics.records,
+                               snapshot_path).snapshot_once()
+
+        stats = server.health()["stats"]
+        served = _scraped_counters(text, "serve")
+        assert served == {k: v for k, v in stats.items()
+                          if k not in ("ts_monotonic", "mean_batch_size")}
+        assert stats["shed"] > 0 and stats["completed"] > 0
+        assert stats["mean_batch_size"] == (
+            served["batched_requests"] / served["batches"])
+
+        health = manager.health()
+        assert health["accounting"]["exact"]
+        dropped = 0
+        for snap in health["streams"]:
+            scraped = _scraped_counters(text, f"stream_{snap['stream']}")
+            assert scraped == {k: snap[k] for k in scraped}
+            assert scraped["accepted"] == scraped["processed"] + sum(
+                v for k, v in scraped.items() if k.startswith("dropped_"))
+            dropped += scraped["dropped_backpressure"]
+        assert dropped > 0  # the tiny stream queues really dropped
+
+        with open(snapshot_path) as fh:
+            (line,) = fh.readlines()
+        jsonl = {m["name"]: m["value"] for m in json.loads(line)["metrics"]
+                 if m["type"] == "counter"}
+        assert {k: jsonl[f"serve/{k}"] for k in served} == served
 
 
 class TestMetricsSnapshotter:
